@@ -1,5 +1,7 @@
 //! Work-stealing frontier throughput: unbounded DFS over larger SCTBench
-//! programs, serial vs the stolen frontier at 2/4/8 workers. The statistics
+//! programs, serial vs the stolen frontier at 2/4/8 workers, skipping the
+//! counts above the available cores (oversubscribed points would measure
+//! the OS scheduler, not the frontier). The statistics
 //! are bit-identical at every worker count (the differential suite proves
 //! that), so the *only* thing this target measures is wall-clock — i.e.
 //! schedules per second. Each measurement lands as a JSON point in
@@ -24,6 +26,12 @@ fn explore(program: &sct_ir::Program, workers: usize) -> u64 {
 }
 
 fn bench_dfs_steal(c: &mut Criterion) {
+    let cores = sct_core::default_workers();
+    let (sweep, skipped): (Vec<usize>, Vec<usize>) =
+        [2usize, 4, 8].into_iter().partition(|&w| w <= cores);
+    if !skipped.is_empty() {
+        eprintln!("dfs_steal: {cores} cores available, skipping steal_x{skipped:?}");
+    }
     let mut group = c.benchmark_group("dfs_steal");
     group.warm_up_time(std::time::Duration::from_millis(300));
     group.measurement_time(std::time::Duration::from_secs(2));
@@ -34,7 +42,7 @@ fn bench_dfs_steal(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("serial", name), &program, |b, program| {
             b.iter(|| black_box(explore(program, 1)))
         });
-        for workers in [2usize, 4, 8] {
+        for &workers in &sweep {
             group.bench_with_input(
                 BenchmarkId::new(format!("steal_x{workers}"), name),
                 &program,

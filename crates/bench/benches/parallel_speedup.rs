@@ -1,12 +1,11 @@
-//! Exploration-throughput ablation: serial vs work-sharded parallel
-//! exploration, and allocation-reusing (`Execution::reset`) vs per-schedule
-//! `Execution::new` hot loops, on a mid-size CS benchmark. Each measurement
+//! Exploration-throughput ablation: allocation-reusing (`Execution::reset`)
+//! vs per-schedule `Execution::new` hot loops, on a mid-size CS benchmark. Each measurement
 //! lands as a JSON point in `target/criterion-shim/parallel_speedup.jsonl`,
 //! giving the perf trajectory a machine-readable series across PRs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sct_bench::{bench_config, spec};
-use sct_core::{explore, explore_sharded, explore_sharded_serial, ExploreLimits, Technique};
+use sct_core::{explore, ExploreLimits, Technique};
 use sct_core::{RandomScheduler, Scheduler};
 use sct_runtime::{Execution, NoopObserver};
 use std::hint::black_box;
@@ -54,53 +53,5 @@ fn bench_reset_reuse(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_serial_vs_parallel(c: &mut Criterion) {
-    let program = spec(BENCHMARK).program();
-    let limits = ExploreLimits::with_schedule_limit(SCHEDULES);
-    let workers = sct_core::default_workers().max(2);
-    let mut group = c.benchmark_group("parallel_speedup");
-    group.warm_up_time(std::time::Duration::from_millis(300));
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.sample_size(10);
-
-    for technique in [
-        Technique::Random { seed: 1 },
-        Technique::Pct { depth: 3, seed: 1 },
-    ] {
-        let label = match technique {
-            Technique::Random { .. } => "Rand",
-            _ => "PCT",
-        };
-        group.bench_with_input(
-            BenchmarkId::new(format!("{label}_serial"), BENCHMARK),
-            &technique,
-            |b, technique| {
-                b.iter(|| {
-                    let stats = explore_sharded_serial(
-                        &program,
-                        &bench_config(),
-                        *technique,
-                        &limits,
-                        workers,
-                    );
-                    black_box(stats.schedules)
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new(format!("{label}_parallel_x{workers}"), BENCHMARK),
-            &technique,
-            |b, technique| {
-                b.iter(|| {
-                    let stats =
-                        explore_sharded(&program, &bench_config(), *technique, &limits, workers);
-                    black_box(stats.schedules)
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_reset_reuse, bench_serial_vs_parallel);
+criterion_group!(benches, bench_reset_reuse);
 criterion_main!(benches);

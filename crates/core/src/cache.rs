@@ -221,9 +221,9 @@ pub struct ScheduleCache {
     pub(crate) bytes: u64,
     pub(crate) max_bytes: u64,
     pub(crate) full: bool,
-    /// Atomic so [`ScheduleCache::walk`] needs only a shared borrow: under a
-    /// shared cache, parallel bound-level workers walk concurrently behind a
-    /// read lock and only insertions take the write lock.
+    /// Atomic so [`ScheduleCache::walk`] needs only a shared borrow: stealing
+    /// workers walk a shared cache concurrently behind a read lock and only
+    /// insertions take the write lock.
     hits: AtomicU64,
     insertions: u64,
 }
@@ -527,9 +527,9 @@ impl ScheduleCache {
 pub enum CacheHandle<'a> {
     /// Caching disabled: every schedule executes for real.
     Off,
-    /// A cache owned by the (serial) driver.
+    /// A cache owned by one serial search.
     Local(&'a mut ScheduleCache),
-    /// A cache shared between parallel bound-level workers. Lookups and
+    /// A cache shared between threads. Lookups and
     /// insertions are transparent memo operations, so sharing never changes
     /// any result — only how many executions are physically skipped. Walks
     /// take the read lock (they run concurrently; the hit counter is
@@ -603,9 +603,7 @@ impl ScheduleRun {
 }
 
 /// The visit-order footprint of one schedule: its full decision path and the
-/// per-step enabled-thread counts. The parallel driver ships these to the
-/// fold so it can replay the serial cache deterministically (see
-/// `crate::parallel`).
+/// per-step enabled-thread counts, which a [`CacheReplay`] mirror replays.
 #[derive(Debug, Default, Clone)]
 pub struct VisitTrace {
     /// The decision at every step, in order.
@@ -685,13 +683,12 @@ pub fn run_begun_schedule(
     (ScheduleRun::Executed(outcome), trace)
 }
 
-/// A structure-only mirror of [`ScheduleCache`] used by the parallel fold:
-/// it tracks which decision paths the serial cache would hold — and the hit
-/// and byte counters it would report — without storing any point data. The
-/// fold replays the per-level visit traces through this in bound order, so
-/// the parallel `cache_hits` / `cache_bytes` / `executions` statistics are
-/// bit-identical to the serial driver's no matter how the speculative level
-/// workers actually interleaved their (shared, opportunistic) cache use.
+/// A structure-only mirror of [`ScheduleCache`]: it tracks which decision
+/// paths a cache private to one serial search would hold — and the hit and
+/// byte counters it would report — without storing any point data. A search
+/// over a trie other threads share replays its own visit stream through one,
+/// so its `cache_hits` / `cache_bytes` / `executions` statistics do not
+/// depend on how those threads interleaved.
 #[derive(Debug, Clone)]
 pub struct CacheReplay {
     /// Edge lists per node; `None` target marks a terminal edge.
@@ -839,8 +836,7 @@ impl CacheReplay {
 /// and replays its own visit stream through the clone, reporting the
 /// mirror's hit/byte counters. Counters therefore depend only on the loaded
 /// baseline and each technique's deterministic visit order, never on how the
-/// techniques' live-cache operations interleaved — the same trick PR 3's
-/// parallel fold uses, lifted one level up.
+/// techniques' live-cache operations interleaved.
 #[derive(Debug)]
 pub struct SharedCache {
     live: RwLock<ScheduleCache>,

@@ -1,8 +1,30 @@
-//! Exploration drivers: run a scheduling strategy against a program under a
-//! terminal-schedule limit and gather Table-3-style statistics.
+//! Exploration: every search is a *producer* folded by one fold.
+//!
+//! A producer yields one visit per completed schedule, in the serial visit
+//! order of its search. There are three: a [`BoundedDfs`] run inline on the
+//! calling thread through [`cache::run_begun_schedule`]; any [`Scheduler`]
+//! (Rand, PCT, MapleAlg, or whatever [`explore_with`] is handed); and the
+//! work-stealing engine of [`crate::steal`], which splits one bounded DFS
+//! across threads and streams its visits back in the same serial order. A
+//! producer splits *begin* from *run*, so the fold can begin a schedule
+//! without running it: that is how it learns, at the schedule limit,
+//! whether anything was left to explore.
+//!
+//! The fold owns every accounting rule of the study, written once: the
+//! schedule limit, the wall-clock deadline, the fault-injection hook, the
+//! uncounted sleep-redundant runs, recording and first-bug telemetry, the
+//! exhausted-exactly-at-limit probe and POR drain, the sleep and prune
+//! counters, the execution and cache counters, and the completion flags.
+//! Iterative bounding (IPB/IDB) is a loop of bound levels over the same
+//! fold, which counts only the schedules new at each bound. Because every
+//! producer yields the same visit stream, the statistics are bit-identical
+//! whichever producer runs a search.
 
 use crate::bounds::BoundKind;
-use crate::cache::{self, CacheHandle, ScheduleCache, ScheduleRun, SharedCache};
+use crate::cache::{
+    self, CacheHandle, CacheReplay, ScheduleCache, ScheduleRun, SharedCache, TerminalDigest,
+    VisitTrace,
+};
 use crate::dfs::BoundedDfs;
 use crate::maple::MapleLikeScheduler;
 use crate::pct::PctScheduler;
@@ -12,7 +34,7 @@ use crate::stats::ExplorationStats;
 use crate::telemetry::{Event, Telemetry};
 use sct_ir::Program;
 use sct_runtime::{ExecConfig, Execution, NoopObserver};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 /// Limits and switches applied to an exploration.
@@ -38,32 +60,31 @@ pub struct ExploreLimits {
     pub cache_max_bytes: u64,
     /// Worker threads for the work-stealing frontier *within* one systematic
     /// search or bound level (see [`crate::steal`]). `1` keeps exploration
-    /// serial; any higher count produces bit-identical statistics. Randomised
-    /// techniques ignore the flag (their parallelism is budget sharding, see
-    /// [`crate::parallel`]).
+    /// serial; any higher count produces bit-identical statistics.
+    /// Randomised techniques ignore the flag.
     pub steal_workers: usize,
     /// Campaign mode: a schedule cache shared across the techniques of one
     /// benchmark (and, when resuming, pre-loaded from a persistent corpus —
     /// see [`crate::corpus`]). When set, the systematic searches (DFS, IPB,
     /// IDB) walk and grow this cache instead of a private per-run one, and
-    /// report cache counters through a per-driver [`cache::CacheReplay`]
+    /// report cache counters through a per-search [`cache::CacheReplay`]
     /// mirror seeded from the load-time baseline, so the statistics stay
     /// deterministic no matter how concurrently-running techniques interleave
     /// on the live trie. Takes precedence over `cache`.
     pub shared_cache: Option<Arc<SharedCache>>,
     /// Telemetry handle (see [`crate::telemetry`]). Off by default; when on,
-    /// the drivers emit bound-level, progress, cache and bug-discovery
-    /// events. Telemetry is observation-only — it never changes statistics,
-    /// digests or search order.
+    /// the fold emits bound-level, progress, cache and bug-discovery events.
+    /// Telemetry is observation-only — it never changes statistics, digests
+    /// or search order.
     pub telemetry: Telemetry,
     /// Wall-clock budget for one technique run. `None` (the default) means
     /// unbounded. The deadline is checked cooperatively at schedule
-    /// boundaries in every driver; when it expires the search stops with
-    /// `deadline_exceeded` set and its partial statistics intact. Unlike the
-    /// schedule limit this makes the *stopping point* timing-dependent, so a
-    /// run is only reproducible when the budget never actually fires — which
-    /// is why `deadline_exceeded`, like the wall-clock stamps, is excluded
-    /// from statistics equality.
+    /// boundaries; when it expires the search stops with `deadline_exceeded`
+    /// set and its partial statistics intact. Unlike the schedule limit this
+    /// makes the *stopping point* timing-dependent, so a run is only
+    /// reproducible when the budget never actually fires — which is why
+    /// `deadline_exceeded`, like the wall-clock stamps, is excluded from
+    /// statistics equality.
     pub time_budget: Option<Duration>,
 }
 
@@ -137,45 +158,6 @@ impl ExploreLimits {
     }
 }
 
-/// The absolute deadline of a driver that started at `started` under
-/// `limits`, or `None` when the run is unbounded in time. A budget too large
-/// to represent as an instant can never fire, so it degrades to unbounded.
-pub(crate) fn deadline_from(started: Instant, limits: &ExploreLimits) -> Option<Instant> {
-    limits
-        .time_budget
-        .and_then(|budget| started.checked_add(budget))
-}
-
-/// Whether the (optional) deadline has passed. The single clock read per
-/// schedule boundary only happens when a budget was actually set.
-pub(crate) fn deadline_fired(deadline: Option<Instant>) -> bool {
-    deadline.is_some_and(|d| Instant::now() >= d)
-}
-
-/// Emit a [`Event::BugFound`] when `stats` just transitioned from no bug to
-/// its first bug (`prev` is `schedules_to_first_bug` before the record).
-pub(crate) fn note_first_bug(
-    prev: Option<u64>,
-    stats: &ExplorationStats,
-    telemetry: &Telemetry,
-    program: &str,
-) {
-    if prev.is_none() {
-        if let Some(schedule) = stats.schedules_to_first_bug {
-            telemetry.emit(|| Event::BugFound {
-                program: program.to_string(),
-                technique: stats.technique.clone(),
-                bug: stats
-                    .first_bug
-                    .as_ref()
-                    .map(|b| b.to_string())
-                    .unwrap_or_default(),
-                schedule,
-            });
-        }
-    }
-}
-
 /// The techniques compared in the study (plus PCT as an ablation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Technique {
@@ -234,6 +216,408 @@ impl Technique {
     }
 }
 
+/// One completed schedule, as a producer hands it to the fold.
+pub(crate) struct Visit {
+    /// How the schedule ended: its outcome, or its digest (served from a
+    /// cache, or condensed by a stealing worker for the trip to the fold).
+    pub run: ScheduleRun,
+    /// Sleep-blocked completion: covered by another schedule, never counted.
+    pub redundant: bool,
+    /// Executed for real (`false`: served from a schedule cache).
+    pub executed: bool,
+    /// Bound cost of the schedule under the search's bound kind.
+    pub cost: u32,
+    /// Sleep-set prunes recorded while the schedule ran.
+    pub ran_pruned_by_sleep: u64,
+    /// Bound exclusions recorded while the schedule ran.
+    pub ran_bound_prunes: u64,
+    /// Footprint for a cache mirror (only through a shared trie).
+    pub trace: Option<VisitTrace>,
+}
+
+/// A source of completed schedules in serial visit order.
+pub(crate) trait Producer {
+    /// Begin the next schedule: the sleep-set insertions of the backtrack
+    /// that chose it, or `None` once the producer has nothing left.
+    fn begin(&mut self) -> Option<u64>;
+
+    /// Complete the schedule [`Producer::begin`] just began. Producers that
+    /// run schedules on the calling thread walk `cache`.
+    fn run(&mut self, cache: CacheHandle<'_>) -> Visit;
+
+    /// Whether running out of schedules proves the space covered.
+    fn covered(&self) -> bool {
+        true
+    }
+
+    /// Whether the producer can cover its space at all. Only such producers
+    /// are probed at the schedule limit, so a randomised technique's
+    /// executions stay an exact function of its budget.
+    fn can_exhaust(&self) -> bool {
+        true
+    }
+}
+
+/// A bounded DFS run inline on the calling thread. Each stealing worker
+/// drives one over the subtrees it claims, so this is the one place a visit
+/// is built from a begun schedule.
+pub(crate) struct SerialDfs<'e, 'p> {
+    pub dfs: BoundedDfs,
+    pub exec: &'e mut Execution<'p>,
+    pub kind: BoundKind,
+}
+
+impl Producer for SerialDfs<'_, '_> {
+    fn begin(&mut self) -> Option<u64> {
+        let slept = self.dfs.slept();
+        self.dfs.begin_execution().then(|| self.dfs.slept() - slept)
+    }
+
+    /// A shared trie also yields the visit trace its mirror replays.
+    fn run(&mut self, cache: CacheHandle<'_>) -> Visit {
+        let dfs = &mut self.dfs;
+        let (pruned, bound_prunes) = (dfs.pruned_by_sleep(), dfs.bound_prune_count());
+        let want_trace = matches!(cache, CacheHandle::Shared(_));
+        let (run, trace) = cache::run_begun_schedule(self.exec, dfs, cache, want_trace);
+        Visit {
+            cost: run.cost(self.kind),
+            executed: matches!(run, ScheduleRun::Executed(_)),
+            run,
+            redundant: dfs.current_execution_redundant(),
+            ran_pruned_by_sleep: dfs.pruned_by_sleep() - pruned,
+            ran_bound_prunes: dfs.bound_prune_count() - bound_prunes,
+            trace,
+        }
+    }
+}
+
+/// Any [`Scheduler`], run inline without a cache.
+struct SchedulerProducer<'s, 'e, 'p> {
+    scheduler: &'s mut dyn Scheduler,
+    exec: &'e mut Execution<'p>,
+}
+
+impl Producer for SchedulerProducer<'_, '_, '_> {
+    fn begin(&mut self) -> Option<u64> {
+        let (slept, _) = self.scheduler.sleep_counters();
+        let more = self.scheduler.begin_execution();
+        more.then(|| self.scheduler.sleep_counters().0 - slept)
+    }
+
+    fn run(&mut self, _cache: CacheHandle<'_>) -> Visit {
+        let (_, pruned) = self.scheduler.sleep_counters();
+        self.exec.reset();
+        let outcome = self
+            .exec
+            .run(&mut |p| self.scheduler.choose(p), &mut NoopObserver);
+        self.scheduler.end_execution(&outcome);
+        Visit {
+            run: ScheduleRun::Executed(outcome),
+            redundant: self.scheduler.current_execution_redundant(),
+            executed: true,
+            cost: 0,
+            ran_pruned_by_sleep: self.scheduler.sleep_counters().1 - pruned,
+            ran_bound_prunes: 0,
+            trace: None,
+        }
+    }
+
+    fn covered(&self) -> bool {
+        self.scheduler.is_exhaustive()
+    }
+
+    fn can_exhaust(&self) -> bool {
+        self.scheduler.can_exhaust()
+    }
+}
+
+/// The schedule cache one search walks, and with it the rule that charges
+/// executions — decided once, when the search starts.
+enum Trie<'a> {
+    /// No cache: every schedule executes.
+    Off,
+    /// A cache only this search touches, walked on the calling thread: each
+    /// visit's `executed` flag is authoritative.
+    Local(ScheduleCache),
+    /// A trie other threads touch too — the campaign corpus, or a memo the
+    /// stealing workers share — so a mirror replaying this search's own
+    /// visit stream decides each hit, whatever the threads interleaved.
+    Shared(&'a RwLock<ScheduleCache>, CacheReplay),
+}
+
+impl<'a> Trie<'a> {
+    /// The campaign corpus, charged from its load-time baseline.
+    fn corpus(shared: &'a SharedCache) -> Self {
+        Trie::Shared(shared.live(), shared.mirror())
+    }
+
+    fn handle(&mut self) -> CacheHandle<'_> {
+        match self {
+            Trie::Off => CacheHandle::Off,
+            Trie::Local(cache) => CacheHandle::Local(cache),
+            Trie::Shared(lock, _) => CacheHandle::Shared(lock),
+        }
+    }
+
+    /// The shared trie, for stealing workers to walk.
+    fn lock(&self) -> Option<&'a RwLock<ScheduleCache>> {
+        match self {
+            Trie::Shared(lock, _) => Some(lock),
+            _ => None,
+        }
+    }
+
+    /// Whether `visit` counts as an execution.
+    fn executed(&mut self, visit: &Visit) -> bool {
+        match self {
+            Trie::Shared(_, mirror) => {
+                let trace = visit.trace.as_ref().expect("a shared trie yields traces");
+                !mirror.apply(&trace.schedule, &trace.enabled_counts)
+            }
+            _ => visit.executed,
+        }
+    }
+
+    /// `(hits, bytes, full)` so far.
+    fn counters(&self) -> (u64, u64, bool) {
+        match self {
+            Trie::Off => (0, 0, false),
+            Trie::Local(cache) => (cache.hits(), cache.bytes(), cache.is_full()),
+            Trie::Shared(_, mirror) => (mirror.hits(), mirror.bytes(), mirror.is_full()),
+        }
+    }
+}
+
+/// How one search — a whole single search, or one bound level — ended.
+#[derive(Default)]
+struct Searched {
+    /// The producer ran out of schedules, proving its space covered.
+    covered: bool,
+    /// Schedules counted.
+    counted: u64,
+    /// Whether the bound excluded any alternative.
+    bound_pruned: bool,
+}
+
+/// The one fold every search goes through (see the module docs).
+struct Fold<'a> {
+    stats: ExplorationStats,
+    limits: &'a ExploreLimits,
+    program: &'a str,
+    started: Instant,
+    deadline: Option<Instant>,
+    trie: Trie<'a>,
+    /// Terminal digests of the counted schedules, when the caller wants them.
+    digests: Option<Vec<TerminalDigest>>,
+    /// Whether `cache_degraded` was emitted (at most once per technique).
+    degraded: bool,
+}
+
+impl<'a> Fold<'a> {
+    fn new(
+        technique: String,
+        program: &'a Program,
+        limits: &'a ExploreLimits,
+        trie: Trie<'a>,
+        digests: bool,
+    ) -> Self {
+        let started = Instant::now();
+        Fold {
+            stats: ExplorationStats::new(technique),
+            limits,
+            program: &program.name,
+            started,
+            // A budget too large to represent as an instant can never fire.
+            deadline: limits.time_budget.and_then(|b| started.checked_add(b)),
+            trie,
+            digests: digests.then(Vec::new),
+            degraded: false,
+        }
+    }
+
+    /// Whether the wall-clock budget has run out. The clock is only read
+    /// when a budget was set.
+    fn deadline_fired(&self) -> bool {
+        self.deadline.is_some_and(|d| Instant::now() >= d)
+    }
+
+    /// Fold `producer` until it runs out, the schedule limit fills or the
+    /// deadline fires. A bound level (`level = Some(bound)`) counts only the
+    /// schedules whose cost is exactly its bound (every schedule at bound
+    /// 0): the cheaper ones were counted at earlier levels, and are only
+    /// re-traversed to reach the new ones (§2 of the paper).
+    fn search(&mut self, producer: &mut dyn Producer, level: Option<u32>) -> Searched {
+        let mut searched = Searched::default();
+        while self.stats.schedules < self.limits.schedule_limit {
+            if self.deadline_fired() {
+                self.stats.deadline_exceeded = true;
+                break;
+            }
+            let Some(slept) = producer.begin() else {
+                searched.covered = producer.covered();
+                break;
+            };
+            self.stats.slept += slept;
+            crate::fault::schedule_boundary(self.program);
+            let visit = self.run(producer);
+            searched.bound_pruned |= visit.ran_bound_prunes > 0;
+            if visit.redundant || level.is_some_and(|b| b != 0 && visit.cost != b) {
+                continue;
+            }
+            searched.counted += 1;
+            let prev = self.stats.schedules_to_first_bug;
+            match &visit.run {
+                ScheduleRun::Executed(outcome) => self.stats.record(outcome),
+                ScheduleRun::Served(digest) => digest.record_into(&mut self.stats),
+            }
+            self.note_first_bug(prev);
+            if let Some(digests) = &mut self.digests {
+                digests.push(visit.run.digest());
+            }
+        }
+        searched
+    }
+
+    /// Complete the schedule `producer` just began, charging its execution
+    /// and run-phase counters.
+    fn run(&mut self, producer: &mut dyn Producer) -> Visit {
+        let visit = producer.run(self.trie.handle());
+        self.stats.pruned_by_sleep += visit.ran_pruned_by_sleep;
+        if self.trie.executed(&visit) {
+            self.stats.executions += 1;
+        }
+        self.limits.telemetry.progress(|| Event::Progress {
+            program: self.program.to_string(),
+            technique: self.stats.technique.clone(),
+            schedules: self.stats.schedules,
+            executions: self.stats.executions,
+            cache_hits: self.trie.counters().0,
+        });
+        visit
+    }
+
+    /// Emit [`Event::BugFound`] when the last record found the first bug
+    /// (`prev` is `schedules_to_first_bug` before it).
+    fn note_first_bug(&self, prev: Option<u64>) {
+        let (None, Some(schedule)) = (prev, self.stats.schedules_to_first_bug) else {
+            return;
+        };
+        self.limits.telemetry.emit(|| Event::BugFound {
+            program: self.program.to_string(),
+            technique: self.stats.technique.clone(),
+            bug: self
+                .stats
+                .first_bug
+                .as_ref()
+                .map(|b| b.to_string())
+                .unwrap_or_default(),
+            schedule,
+        });
+    }
+
+    /// Emit [`Event::CacheDegraded`] the first time the trie is full.
+    fn note_degraded(&mut self) {
+        let (_, bytes, full) = self.trie.counters();
+        if full && !self.degraded {
+            self.degraded = true;
+            self.limits.telemetry.emit(|| Event::CacheDegraded {
+                program: self.program.to_string(),
+                technique: self.stats.technique.clone(),
+                bytes,
+                max_bytes: self.limits.cache_max_bytes,
+            });
+        }
+    }
+
+    /// Fold a whole search and decide how it ended.
+    fn single(&mut self, producer: &mut dyn Producer) {
+        let limit = self.limits.schedule_limit;
+        let mut covered = self.search(producer, None).covered;
+        if !covered && self.stats.schedules >= limit && producer.can_exhaust() {
+            // The budget filled on the last schedule, before the search could
+            // learn its space was empty: probe by beginning one more. Under
+            // sleep sets what remains may be only *redundant* completions,
+            // which never count, so drain those — at most the limit again;
+            // an unresolved drain conservatively reports truncation.
+            let mut drain_budget = limit;
+            loop {
+                let Some(slept) = producer.begin() else {
+                    covered = producer.covered();
+                    break;
+                };
+                self.stats.slept += slept;
+                if !self.limits.por || drain_budget == 0 {
+                    break;
+                }
+                drain_budget -= 1;
+                if !self.run(producer).redundant {
+                    break;
+                }
+            }
+        }
+        self.stats.complete = covered;
+        // A search that covers its whole space at exactly the limit is
+        // complete, not cut short; reporting both would make rows ambiguous.
+        self.stats.hit_schedule_limit = self.stats.schedules >= limit && !covered;
+        self.note_degraded();
+    }
+
+    /// Fold bound level `bound` of iterative bounding; `true` once the
+    /// search stops.
+    fn level(&mut self, producer: &mut dyn Producer, bound: u32) -> bool {
+        let base = (
+            self.stats.schedules,
+            self.stats.executions,
+            self.trie.counters().0,
+        );
+        let level = self.search(producer, Some(bound));
+        self.stats.final_bound = Some(bound);
+        self.stats.new_schedules_at_final_bound = level.counted;
+        self.limits.telemetry.emit(|| Event::BoundLevel {
+            program: self.program.to_string(),
+            technique: self.stats.technique.clone(),
+            bound: bound as u64,
+            schedules: self.stats.schedules - base.0,
+            executions: self.stats.executions - base.1,
+            cache_hits: self.trie.counters().0 - base.2,
+            new_at_bound: level.counted,
+        });
+        self.note_degraded();
+        let stats = &mut self.stats;
+        if stats.found_bug() && stats.bound_of_first_bug.is_none() {
+            stats.bound_of_first_bug = Some(bound);
+        }
+        if stats.deadline_exceeded {
+            // The wall clock, not the search, ended this level: claim
+            // neither completion, truncation nor bound exhaustion.
+            return true;
+        }
+        let at_limit = stats.schedules >= self.limits.schedule_limit;
+        if at_limit && !level.covered {
+            stats.hit_schedule_limit = true;
+            return true;
+        }
+        if stats.found_bug() {
+            // The paper completes the bound at which the bug was found (to
+            // enable the worst-case analysis of Figure 4) and then stops.
+            return true;
+        }
+        if level.covered && !level.bound_pruned {
+            // Nothing was pruned: every terminal schedule has been explored.
+            stats.complete = true;
+            return true;
+        }
+        stats.hit_schedule_limit = at_limit;
+        at_limit
+    }
+
+    fn finish(mut self) -> (ExplorationStats, Vec<TerminalDigest>) {
+        (self.stats.cache_hits, self.stats.cache_bytes, _) = self.trie.counters();
+        self.stats.explore_nanos = self.started.elapsed().as_nanos() as u64;
+        (self.stats, self.digests.unwrap_or_default())
+    }
+}
+
 /// Run `scheduler` against `program` until it stops or the schedule limit is
 /// reached.
 pub fn explore_with(
@@ -242,84 +626,54 @@ pub fn explore_with(
     scheduler: &mut dyn Scheduler,
     limits: &ExploreLimits,
 ) -> ExplorationStats {
-    let started = Instant::now();
-    let mut stats = ExplorationStats::new(scheduler.name());
     // One execution for the whole exploration: `reset` rewinds it in place,
     // so the hot loop performs no per-schedule allocation or config clone.
     let mut exec = Execution::new_shared(program, config);
-    let deadline = deadline_from(started, limits);
-    while stats.schedules < limits.schedule_limit && scheduler.begin_execution() {
-        if deadline_fired(deadline) {
-            // Cooperative wall-clock stop: report the partial results and say
-            // so. The probed execution is discarded with the scheduler, just
-            // like the exhausted-at-limit probe below.
-            stats.deadline_exceeded = true;
-            break;
-        }
-        crate::fault::schedule_boundary(&program.name);
-        exec.reset();
-        let outcome = exec.run(&mut |p| scheduler.choose(p), &mut NoopObserver);
-        scheduler.end_execution(&outcome);
-        stats.executions += 1;
-        if scheduler.current_execution_redundant() {
-            // A sleep-blocked completion: every state it visited is covered
-            // by another explored schedule, so it is not a new schedule.
-            continue;
-        }
-        let prev = stats.schedules_to_first_bug;
-        stats.record(&outcome);
-        note_first_bug(prev, &stats, &limits.telemetry, &program.name);
-        limits.telemetry.progress(|| Event::Progress {
-            program: program.name.clone(),
-            technique: stats.technique.clone(),
-            schedules: stats.schedules,
-            executions: stats.executions,
-            cache_hits: 0,
+    let mut fold = Fold::new(scheduler.name(), program, limits, Trie::Off, false);
+    fold.single(&mut SchedulerProducer {
+        scheduler,
+        exec: &mut exec,
+    });
+    fold.finish().0
+}
+
+/// Whether a bounded DFS of `kind` is split across stealing workers: more
+/// than one worker, and donation is sound — sleep sets off, or a policy that
+/// cannot prune (see [`crate::steal`]).
+fn steals(kind: BoundKind, limits: &ExploreLimits) -> bool {
+    limits.steal_workers > 1 && (!limits.por || !kind.policy().can_prune())
+}
+
+/// One bounded DFS, stolen or serial, with the counted schedules' digests
+/// when `digests` is set. In campaign mode it walks the shared corpus.
+pub(crate) fn bounded_search(
+    program: &Program,
+    config: &ExecConfig,
+    kind: BoundKind,
+    bound: u32,
+    limits: &ExploreLimits,
+    digests: bool,
+) -> (ExplorationStats, Vec<TerminalDigest>) {
+    let dfs = BoundedDfs::new(kind.policy(), bound).with_sleep_sets(limits.por);
+    let trie = limits
+        .shared_cache
+        .as_deref()
+        .map_or(Trie::Off, Trie::corpus);
+    let mut fold = Fold::new(dfs.name(), program, limits, trie, digests);
+    if steals(kind, limits) {
+        let cache = fold.trie.lock();
+        crate::steal::with_engine(program, config, kind, bound, limits, cache, |p| {
+            fold.single(p)
+        });
+    } else {
+        let mut exec = Execution::new_shared(program, config);
+        fold.single(&mut SerialDfs {
+            dfs,
+            exec: &mut exec,
+            kind,
         });
     }
-    let mut complete = scheduler.is_exhaustive();
-    if !complete && stats.schedules >= limits.schedule_limit && scheduler.can_exhaust() {
-        // The budget filled on the very last schedule, so the loop never made
-        // the `begin_execution` call from which a systematic scheduler learns
-        // its stack is empty. Probe: if nothing was left to explore the
-        // search is complete, not truncated. A probe that *does* find more
-        // work prepares an execution that is never run, which is harmless —
-        // the scheduler is dropped when this function returns. Under
-        // sleep-set reduction the remaining work may consist solely of
-        // *redundant* completions, which would never have counted either; a
-        // search is only genuinely truncated when a countable schedule
-        // remains, so drain redundant runs before concluding — but never
-        // more than the schedule limit again, so the post-limit cost stays
-        // bounded (an unresolved drain conservatively reports truncation).
-        let mut drain_budget = limits.schedule_limit;
-        loop {
-            if !scheduler.begin_execution() {
-                complete = scheduler.is_exhaustive();
-                break;
-            }
-            if !limits.por || drain_budget == 0 {
-                break;
-            }
-            drain_budget -= 1;
-            exec.reset();
-            let outcome = exec.run(&mut |p| scheduler.choose(p), &mut NoopObserver);
-            scheduler.end_execution(&outcome);
-            stats.executions += 1;
-            if !scheduler.current_execution_redundant() {
-                break;
-            }
-        }
-    }
-    stats.complete = complete;
-    // Only flag the limit when the scheduler was not exhaustive: a search
-    // that covers its whole space at exactly the limit is complete, not cut
-    // short, and reporting both would make the table rows ambiguous.
-    stats.hit_schedule_limit = stats.schedules >= limits.schedule_limit && !stats.complete;
-    let (slept, pruned_by_sleep) = scheduler.sleep_counters();
-    stats.slept = slept;
-    stats.pruned_by_sleep = pruned_by_sleep;
-    stats.explore_nanos = started.elapsed().as_nanos() as u64;
-    stats
+    fold.finish()
 }
 
 /// Depth-first search bounded by `bound` under the given bound kind. The
@@ -331,123 +685,11 @@ pub fn bounded_dfs(
     bound: u32,
     limits: &ExploreLimits,
 ) -> ExplorationStats {
-    let mut stats = if limits.steal_workers > 1 {
-        crate::steal::explore_bounded_stealing(program, config, kind, bound, limits)
-    } else if let Some(corpus) = limits.shared_cache.clone() {
-        let mut scheduler = BoundedDfs::new(kind.policy(), bound).with_sleep_sets(limits.por);
-        explore_dfs_corpus(program, config, &mut scheduler, limits, &corpus, None)
-    } else {
-        let mut scheduler = BoundedDfs::new(kind.policy(), bound).with_sleep_sets(limits.por);
-        explore_with(program, config, &mut scheduler, limits)
-    };
+    let (mut stats, _) = bounded_search(program, config, kind, bound, limits, false);
     stats.final_bound = Some(bound);
     if stats.found_bug() {
         stats.bound_of_first_bug = Some(bound);
     }
-    stats
-}
-
-/// [`explore_with`] in campaign mode: drive one bounded DFS through
-/// [`cache::run_begun_schedule`] against the shared corpus cache, reporting
-/// execution/hit/byte counters through a [`cache::CacheReplay`] mirror
-/// seeded from the load-time baseline (so they are a deterministic function
-/// of the baseline and this driver's own visit stream, independent of what
-/// concurrent techniques do to the live trie).
-///
-/// The exhausted-exactly-at-limit probe and the POR redundant-run drain
-/// replicate [`explore_with`] — but route through the cache, so a drained
-/// schedule the corpus already knows is *served*, not re-executed (the probe
-/// itself never runs the program, in either driver). `digests`, when given,
-/// receives the terminal digest of every counted schedule in visit order.
-pub(crate) fn explore_dfs_corpus(
-    program: &Program,
-    config: &ExecConfig,
-    scheduler: &mut BoundedDfs,
-    limits: &ExploreLimits,
-    corpus: &SharedCache,
-    mut digests: Option<&mut Vec<cache::TerminalDigest>>,
-) -> ExplorationStats {
-    let started = Instant::now();
-    let mut stats = ExplorationStats::new(scheduler.name());
-    let mut exec = Execution::new_shared(program, config);
-    let mut mirror = corpus.mirror();
-    let charge = |mirror: &mut cache::CacheReplay,
-                  stats: &mut ExplorationStats,
-                  trace: Option<cache::VisitTrace>| {
-        let trace = trace.expect("corpus mode requests traces");
-        if !mirror.apply(&trace.schedule, &trace.enabled_counts) {
-            stats.executions += 1;
-        }
-    };
-    let deadline = deadline_from(started, limits);
-    while stats.schedules < limits.schedule_limit && scheduler.begin_execution() {
-        if deadline_fired(deadline) {
-            stats.deadline_exceeded = true;
-            break;
-        }
-        crate::fault::schedule_boundary(&program.name);
-        let (run, trace) = cache::run_begun_schedule(
-            &mut exec,
-            scheduler,
-            CacheHandle::Shared(corpus.live()),
-            true,
-        );
-        charge(&mut mirror, &mut stats, trace);
-        if scheduler.current_execution_redundant() {
-            continue;
-        }
-        if let Some(out) = digests.as_deref_mut() {
-            out.push(run.digest());
-        }
-        let prev = stats.schedules_to_first_bug;
-        match &run {
-            ScheduleRun::Executed(outcome) => stats.record(outcome),
-            ScheduleRun::Served(digest) => digest.record_into(&mut stats),
-        }
-        note_first_bug(prev, &stats, &limits.telemetry, &program.name);
-        limits.telemetry.progress(|| Event::Progress {
-            program: program.name.clone(),
-            technique: stats.technique.clone(),
-            schedules: stats.schedules,
-            executions: stats.executions,
-            cache_hits: mirror.hits(),
-        });
-    }
-    let mut complete = scheduler.is_exhaustive();
-    if !complete && stats.schedules >= limits.schedule_limit && scheduler.can_exhaust() {
-        // Same one-shot probe + redundant-run drain as `explore_with`; see
-        // the commentary there. The drain completes schedules through the
-        // cache, so re-covered interior is served rather than re-executed.
-        let mut drain_budget = limits.schedule_limit;
-        loop {
-            if !scheduler.begin_execution() {
-                complete = scheduler.is_exhaustive();
-                break;
-            }
-            if !limits.por || drain_budget == 0 {
-                break;
-            }
-            drain_budget -= 1;
-            let (_, trace) = cache::run_begun_schedule(
-                &mut exec,
-                scheduler,
-                CacheHandle::Shared(corpus.live()),
-                true,
-            );
-            charge(&mut mirror, &mut stats, trace);
-            if !scheduler.current_execution_redundant() {
-                break;
-            }
-        }
-    }
-    stats.complete = complete;
-    stats.hit_schedule_limit = stats.schedules >= limits.schedule_limit && !stats.complete;
-    let (slept, pruned_by_sleep) = scheduler.sleep_counters();
-    stats.slept = slept;
-    stats.pruned_by_sleep = pruned_by_sleep;
-    stats.cache_hits = mirror.hits();
-    stats.cache_bytes = mirror.bytes();
-    stats.explore_nanos = started.elapsed().as_nanos() as u64;
     stats
 }
 
@@ -477,166 +719,47 @@ pub fn iterative_bounding(
         BoundKind::Delay => "IDB",
         BoundKind::None => "DFS",
     };
-    let started = Instant::now();
-    let mut agg = ExplorationStats::new(label);
+    let stealing = steals(kind, limits);
+    let max_bytes = limits.cache_max_bytes;
+    // Stealing workers share one private cache as a pure memo of the
+    // deterministic program; the fold's mirror reports the serial counters.
+    let memo = (limits.cache && stealing && limits.shared_cache.is_none())
+        .then(|| RwLock::new(ScheduleCache::new(max_bytes)));
+    let trie = match (limits.shared_cache.as_deref(), &memo) {
+        (Some(corpus), _) => Trie::corpus(corpus),
+        (None, Some(memo)) => Trie::Shared(memo, CacheReplay::new(max_bytes)),
+        (None, None) if limits.cache => Trie::Local(ScheduleCache::new(max_bytes)),
+        (None, None) => Trie::Off,
+    };
+    let mut fold = Fold::new(label.to_string(), program, limits, trie, false);
     let mut exec = Execution::new_shared(program, config);
-    let corpus = limits.shared_cache.clone();
-    let mut mirror = corpus.as_ref().map(|c| c.mirror());
-    let mut cache =
-        (corpus.is_none() && limits.cache).then(|| ScheduleCache::new(limits.cache_max_bytes));
     let mut stopped = false;
-    let mut degradation_reported = false;
-    let deadline = deadline_from(started, limits);
     for bound in 0..=limits.max_bound {
-        let mut scheduler = BoundedDfs::new(kind.policy(), bound).with_sleep_sets(limits.por);
-        let mut new_at_bound = 0u64;
-        let level_hits_base = match (&mirror, &cache) {
-            (Some(m), _) => m.hits(),
-            (None, Some(c)) => c.hits(),
-            (None, None) => 0,
-        };
-        let level_base = (agg.schedules, agg.executions);
-        while agg.schedules < limits.schedule_limit && scheduler.begin_execution() {
-            if deadline_fired(deadline) {
-                agg.deadline_exceeded = true;
-                break;
-            }
-            crate::fault::schedule_boundary(&program.name);
-            let handle = match (corpus.as_deref(), cache.as_mut()) {
-                (Some(shared), _) => CacheHandle::Shared(shared.live()),
-                (None, Some(c)) => CacheHandle::Local(c),
-                (None, None) => CacheHandle::Off,
-            };
-            let (run, trace) =
-                cache::run_begun_schedule(&mut exec, &mut scheduler, handle, mirror.is_some());
-            match mirror.as_mut() {
-                // Campaign mode: executions/hits are what the mirror — the
-                // baseline plus this driver's own visit stream — says, not
-                // what the (shared, concurrently mutated) live trie did.
-                Some(m) => {
-                    let t = trace.expect("corpus mode requests traces");
-                    if !m.apply(&t.schedule, &t.enabled_counts) {
-                        agg.executions += 1;
-                    }
-                }
-                None => {
-                    if matches!(run, ScheduleRun::Executed(_)) {
-                        agg.executions += 1;
-                    }
-                }
-            }
-            if scheduler.current_execution_redundant() {
-                continue;
-            }
-            let cost = run.cost(kind);
-            // Iteration `bound` only *counts* schedules whose cost is exactly
-            // `bound`: schedules with a smaller cost were already explored in
-            // an earlier iteration (the bounded DFS still has to traverse
-            // them to reach the new ones, but they are neither re-counted nor
-            // re-checked, matching §2's description of iterative bounding).
-            if cost == bound || bound == 0 {
-                new_at_bound += 1;
-                let prev = agg.schedules_to_first_bug;
-                match &run {
-                    ScheduleRun::Executed(outcome) => agg.record(outcome),
-                    ScheduleRun::Served(digest) => digest.record_into(&mut agg),
-                }
-                note_first_bug(prev, &agg, &limits.telemetry, &program.name);
-            }
-            limits.telemetry.progress(|| Event::Progress {
-                program: program.name.clone(),
-                technique: label.to_string(),
-                schedules: agg.schedules,
-                executions: agg.executions,
-                cache_hits: match (&mirror, &cache) {
-                    (Some(m), _) => m.hits(),
-                    (None, Some(c)) => c.hits(),
-                    (None, None) => 0,
+        stopped = if stealing {
+            let cache = fold.trie.lock();
+            crate::steal::with_engine(program, config, kind, bound, limits, cache, |p| {
+                fold.level(p, bound)
+            })
+        } else {
+            let dfs = BoundedDfs::new(kind.policy(), bound).with_sleep_sets(limits.por);
+            fold.level(
+                &mut SerialDfs {
+                    dfs,
+                    exec: &mut exec,
+                    kind,
                 },
-            });
-        }
-        let (slept, pruned_by_sleep) = scheduler.sleep_counters();
-        agg.slept += slept;
-        agg.pruned_by_sleep += pruned_by_sleep;
-        agg.final_bound = Some(bound);
-        agg.new_schedules_at_final_bound = new_at_bound;
-        let level_hits = match (&mirror, &cache) {
-            (Some(m), _) => m.hits(),
-            (None, Some(c)) => c.hits(),
-            (None, None) => 0,
+                bound,
+            )
         };
-        limits.telemetry.emit(|| Event::BoundLevel {
-            program: program.name.clone(),
-            technique: label.to_string(),
-            bound: bound as u64,
-            schedules: agg.schedules - level_base.0,
-            executions: agg.executions - level_base.1,
-            cache_hits: level_hits - level_hits_base,
-            new_at_bound,
-        });
-        if !degradation_reported && limits.telemetry.is_on() {
-            let (full, bytes) = match (&mirror, &cache) {
-                (Some(m), _) => (m.is_full(), m.bytes()),
-                (None, Some(c)) => (c.is_full(), c.bytes()),
-                (None, None) => (false, 0),
-            };
-            if full {
-                degradation_reported = true;
-                limits.telemetry.emit(|| Event::CacheDegraded {
-                    program: program.name.clone(),
-                    technique: label.to_string(),
-                    bytes,
-                    max_bytes: limits.cache_max_bytes,
-                });
-            }
-        }
-        if agg.found_bug() && agg.bound_of_first_bug.is_none() {
-            agg.bound_of_first_bug = Some(bound);
-        }
-        if agg.deadline_exceeded {
-            // The wall clock, not the search, ended this level: report the
-            // partial results without claiming completion, truncation or
-            // bound exhaustion.
-            stopped = true;
-            break;
-        }
-        let finished_bound = scheduler.is_complete();
-        if agg.schedules >= limits.schedule_limit && !finished_bound {
-            agg.hit_schedule_limit = true;
-            stopped = true;
-            break;
-        }
-        if agg.found_bug() {
-            // The paper completes the bound at which the bug was found (to
-            // enable the worst-case analysis of Figure 4) and then stops.
-            stopped = true;
-            break;
-        }
-        if finished_bound && !scheduler.was_pruned() {
-            // Nothing was pruned: every terminal schedule has been explored.
-            agg.complete = true;
-            stopped = true;
-            break;
-        }
-        if agg.schedules >= limits.schedule_limit {
-            agg.hit_schedule_limit = true;
-            stopped = true;
+        if stopped {
             break;
         }
     }
     // Falling out of the bound loop means every level up to `max_bound` ran
     // without a bug, without covering the space and without exhausting the
     // budget: the search gave up on bounds, not on schedules.
-    agg.bound_exhausted = !stopped;
-    if let Some(m) = &mirror {
-        agg.cache_hits = m.hits();
-        agg.cache_bytes = m.bytes();
-    } else if let Some(c) = &cache {
-        agg.cache_hits = c.hits();
-        agg.cache_bytes = c.bytes();
-    }
-    agg.explore_nanos = started.elapsed().as_nanos() as u64;
-    agg
+    fold.stats.bound_exhausted = !stopped;
+    fold.finish().0
 }
 
 /// Run one of the study's techniques with its standard configuration.
@@ -649,47 +772,13 @@ pub fn run_technique(
     let started = Instant::now();
     let mut stats = match technique {
         Technique::Dfs => {
-            if limits.steal_workers > 1 {
-                crate::steal::explore_bounded_stealing(
-                    program,
-                    config,
-                    BoundKind::None,
-                    u32::MAX,
-                    limits,
-                )
-            } else if let Some(corpus) = limits.shared_cache.clone() {
-                let mut scheduler = BoundedDfs::unbounded().with_sleep_sets(limits.por);
-                explore_dfs_corpus(program, config, &mut scheduler, limits, &corpus, None)
-            } else {
-                let mut scheduler = BoundedDfs::unbounded().with_sleep_sets(limits.por);
-                explore_with(program, config, &mut scheduler, limits)
-            }
+            bounded_search(program, config, BoundKind::None, u32::MAX, limits, false).0
         }
         Technique::IterativePreemptionBounding => {
-            if limits.steal_workers > 1 {
-                crate::parallel::parallel_iterative_bounding(
-                    program,
-                    config,
-                    BoundKind::Preemption,
-                    limits,
-                    1,
-                )
-            } else {
-                iterative_bounding(program, config, BoundKind::Preemption, limits)
-            }
+            iterative_bounding(program, config, BoundKind::Preemption, limits)
         }
         Technique::IterativeDelayBounding => {
-            if limits.steal_workers > 1 {
-                crate::parallel::parallel_iterative_bounding(
-                    program,
-                    config,
-                    BoundKind::Delay,
-                    limits,
-                    1,
-                )
-            } else {
-                iterative_bounding(program, config, BoundKind::Delay, limits)
-            }
+            iterative_bounding(program, config, BoundKind::Delay, limits)
         }
         Technique::Random { seed } => {
             let mut scheduler = RandomScheduler::new(limits.schedule_limit, seed);

@@ -19,9 +19,11 @@
 //! * **MapleLike** — a simplified re-implementation of Maple's default
 //!   idiom-driven algorithm ([`maple::MapleLikeScheduler`]).
 //!
-//! The [`explore`] module runs a scheduler against a program with a terminal
-//! schedule limit (10,000 in the study) and gathers the statistics reported
-//! in Table 3 of the paper ([`stats::ExplorationStats`]).
+//! The [`explore`] module runs every search as a producer of schedules
+//! folded by one fold, under a terminal schedule limit (10,000 in the
+//! study), and gathers the statistics reported in Table 3 of the paper
+//! ([`stats::ExplorationStats`]). The [`steal`] module splits one search
+//! across threads without changing any of them.
 //!
 //! ```
 //! use sct_core::prelude::*;
@@ -74,10 +76,7 @@ pub use dfs::{BoundedDfs, SubtreeSeed};
 pub use explore::{explore_with, iterative_bounding, ExploreLimits, Technique};
 pub use fault::{FaultGuard, FaultKind};
 pub use maple::MapleLikeScheduler;
-pub use parallel::{
-    default_workers, explore_sharded, explore_sharded_serial, map_indexed,
-    parallel_iterative_bounding, run_technique_parallel,
-};
+pub use parallel::{default_workers, map_indexed};
 pub use pct::PctScheduler;
 pub use random::RandomScheduler;
 pub use scheduler::Scheduler;
@@ -96,10 +95,7 @@ pub mod prelude {
     pub use crate::explore::{self, explore_with, iterative_bounding, ExploreLimits, Technique};
     pub use crate::fault::{self, FaultGuard, FaultKind};
     pub use crate::maple::MapleLikeScheduler;
-    pub use crate::parallel::{
-        self, default_workers, explore_sharded, explore_sharded_serial, map_indexed,
-        parallel_iterative_bounding, run_technique_parallel,
-    };
+    pub use crate::parallel::{self, default_workers, map_indexed};
     pub use crate::pct::PctScheduler;
     pub use crate::random::RandomScheduler;
     pub use crate::scheduler::Scheduler;

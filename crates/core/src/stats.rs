@@ -6,7 +6,7 @@ use sct_runtime::{Bug, ExecutionOutcome};
 /// Statistics gathered while exploring one program with one technique.
 ///
 /// Equality deliberately ignores the wall-clock fields ([`explore_nanos`],
-/// [`race_nanos`]): the serial≡parallel differential suite asserts stats are
+/// [`race_nanos`]): the serial≡stolen differential suite asserts stats are
 /// bit-identical across worker counts, and wall-clock time is the one thing
 /// that legitimately differs between those runs.
 ///
@@ -189,8 +189,10 @@ impl ExplorationStats {
     }
 
     /// Record one terminal schedule from its summary fields. Both [`record`]
-    /// and the parallel explorer's digest fold route through this, so the
-    /// serial and parallel accounting cannot drift apart.
+    /// and [`TerminalDigest::record_into`] route through this, so executed
+    /// and served schedules cannot drift apart.
+    ///
+    /// [`TerminalDigest::record_into`]: crate::cache::TerminalDigest::record_into
     ///
     /// [`record`]: ExplorationStats::record
     pub fn record_parts(
@@ -216,70 +218,6 @@ impl ExplorationStats {
                 self.first_bug = bug.cloned();
             }
         }
-    }
-
-    /// Fold the statistics of another shard of the *same* technique into
-    /// these, deterministically: counts are summed, high-water marks are
-    /// maxed, and the first-bug bookkeeping keeps the smallest shard-local
-    /// schedule index (ties keep `self`, so folding shards in a fixed order
-    /// is reproducible regardless of which worker finished first).
-    ///
-    /// `complete` holds only when every shard exhausted its space, while
-    /// `hit_schedule_limit` holds when any shard hit its budget. Bound
-    /// bookkeeping keeps the deepest `final_bound` and the shallowest
-    /// `bound_of_first_bug`; `new_schedules_at_final_bound` follows the
-    /// shard that owns the deepest bound (summing only on equal bounds), so
-    /// the pair stays consistent.
-    pub fn merge(&mut self, other: &ExplorationStats) {
-        match (self.schedules_to_first_bug, other.schedules_to_first_bug) {
-            (None, Some(_)) => {
-                self.schedules_to_first_bug = other.schedules_to_first_bug;
-                self.first_bug = other.first_bug.clone();
-            }
-            (Some(a), Some(b)) if b < a => {
-                self.schedules_to_first_bug = Some(b);
-                self.first_bug = other.first_bug.clone();
-            }
-            _ => {}
-        }
-        self.schedules += other.schedules;
-        self.buggy_schedules += other.buggy_schedules;
-        self.diverged_schedules += other.diverged_schedules;
-        self.slept += other.slept;
-        self.pruned_by_sleep += other.pruned_by_sleep;
-        self.executions += other.executions;
-        self.cache_hits += other.cache_hits;
-        self.cache_bytes += other.cache_bytes;
-        match (self.final_bound, other.final_bound) {
-            (Some(a), Some(b)) if a == b => {
-                self.new_schedules_at_final_bound += other.new_schedules_at_final_bound;
-            }
-            (Some(a), Some(b)) if b > a => {
-                self.final_bound = Some(b);
-                self.new_schedules_at_final_bound = other.new_schedules_at_final_bound;
-            }
-            (None, Some(_)) => {
-                self.final_bound = other.final_bound;
-                self.new_schedules_at_final_bound = other.new_schedules_at_final_bound;
-            }
-            _ => {}
-        }
-        self.bound_of_first_bug = match (self.bound_of_first_bug, other.bound_of_first_bug) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.max_enabled_threads = self.max_enabled_threads.max(other.max_enabled_threads);
-        self.max_scheduling_points = self.max_scheduling_points.max(other.max_scheduling_points);
-        self.total_threads = self.total_threads.max(other.total_threads);
-        self.complete = self.complete && other.complete;
-        self.hit_schedule_limit = self.hit_schedule_limit || other.hit_schedule_limit;
-        self.bound_exhausted = self.bound_exhausted || other.bound_exhausted;
-        self.deadline_exceeded = self.deadline_exceeded || other.deadline_exceeded;
-        self.engine_panic = self.engine_panic || other.engine_panic;
-        // Shards run concurrently, so wall-clock folds as a high-water mark
-        // (the aggregate took as long as its slowest shard), not a sum.
-        self.explore_nanos = self.explore_nanos.max(other.explore_nanos);
-        self.race_nanos = self.race_nanos.max(other.race_nanos);
     }
 
     /// Whether at least one bug was found.
@@ -368,90 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_counts_and_keeps_the_earliest_first_bug() {
-        let mut a = ExplorationStats::new("Rand");
-        a.record(&outcome(false, false));
-        a.record(&outcome(false, false));
-        a.record(&outcome(true, false)); // first bug at shard index 3
-
-        let mut b = ExplorationStats::new("Rand");
-        b.record(&outcome(false, false));
-        b.record(&outcome(true, false)); // first bug at shard index 2
-        assert_eq!(b.schedules_to_first_bug, Some(2));
-
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged.schedules, 5);
-        assert_eq!(merged.buggy_schedules, 2);
-        // min of the shard-local indices: 2 (from b), not 3 (from a).
-        assert_eq!(merged.schedules_to_first_bug, Some(2));
-        assert!(merged.found_bug());
-
-        // Merging in the other order gives the same aggregate.
-        let mut flipped = b.clone();
-        flipped.merge(&a);
-        assert_eq!(flipped.schedules, merged.schedules);
-        assert_eq!(
-            flipped.schedules_to_first_bug,
-            merged.schedules_to_first_bug
-        );
-        assert_eq!(flipped.buggy_schedules, merged.buggy_schedules);
-    }
-
-    #[test]
-    fn merge_is_associative_over_shards() {
-        let shard = |buggy_at: Option<u64>, n: u64| {
-            let mut s = ExplorationStats::new("Rand");
-            for i in 1..=n {
-                s.record(&outcome(buggy_at == Some(i), false));
-            }
-            s
-        };
-        let shards = [shard(None, 4), shard(Some(2), 4), shard(Some(1), 4)];
-        let mut left = shards[0].clone();
-        left.merge(&shards[1]);
-        left.merge(&shards[2]);
-        let mut right = shards[1].clone();
-        right.merge(&shards[2]);
-        let mut outer = shards[0].clone();
-        outer.merge(&right);
-        assert_eq!(left, outer);
-        assert_eq!(left.schedules, 12);
-        assert_eq!(left.schedules_to_first_bug, Some(1));
-    }
-
-    #[test]
-    fn merge_combines_flags_and_bounds() {
-        let mut a = ExplorationStats::new("IPB");
-        a.complete = true;
-        a.final_bound = Some(2);
-        a.new_schedules_at_final_bound = 10;
-        a.bound_of_first_bug = Some(2);
-        let mut b = ExplorationStats::new("IPB");
-        b.complete = false;
-        b.hit_schedule_limit = true;
-        b.final_bound = Some(3);
-        b.new_schedules_at_final_bound = 5;
-        b.bound_of_first_bug = Some(1);
-        a.merge(&b);
-        assert!(!a.complete, "complete only when every shard completed");
-        assert!(a.hit_schedule_limit, "limit hit when any shard hit it");
-        assert_eq!(a.final_bound, Some(3));
-        // The "new schedules" count follows the deepest bound's owner; the
-        // shallower shard's count at a different bound must not leak in.
-        assert_eq!(a.new_schedules_at_final_bound, 5);
-        assert_eq!(a.bound_of_first_bug, Some(1));
-
-        // Equal bounds sum their per-bound counts.
-        let mut c = ExplorationStats::new("IPB");
-        c.final_bound = Some(3);
-        c.new_schedules_at_final_bound = 7;
-        a.merge(&c);
-        assert_eq!(a.final_bound, Some(3));
-        assert_eq!(a.new_schedules_at_final_bound, 12);
-    }
-
-    #[test]
     fn equality_ignores_wall_clock_fields() {
         let mut a = ExplorationStats::new("IDB");
         a.record(&outcome(true, false));
@@ -467,24 +321,6 @@ mod tests {
         assert_eq!(a, b, "fault flags must not participate in equality");
         b.schedules += 1;
         assert_ne!(a, b, "non-timing fields still compare");
-
-        // merge() ORs the fault flags like the other outcome flags.
-        let mut f = a.clone();
-        let mut g = a.clone();
-        g.deadline_exceeded = true;
-        f.merge(&g);
-        assert!(f.deadline_exceeded);
-        assert!(!f.engine_panic);
-
-        // merge() keeps the slowest shard's wall clock.
-        let mut m = a.clone();
-        m.explore_nanos = 10;
-        let mut n = a.clone();
-        n.explore_nanos = 30;
-        n.race_nanos = 7;
-        m.merge(&n);
-        assert_eq!(m.explore_nanos, 30);
-        assert_eq!(m.race_nanos, 7);
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! Work-stealing exploration *within* one bound level.
+//! The work-stealing producer: one bounded DFS split across threads.
 //!
-//! [`crate::parallel`] parallelises iterative bounding across bound levels,
-//! but the paper's hard benchmarks put nearly all of their schedules into a
-//! single level, which PR 1's driver still walks on one core. This module
-//! splits the frontier of one bounded DFS itself: a shared queue of
-//! unexplored decision-prefix subtrees that workers claim, explore
-//! depth-first with their own reusable [`Execution`], and re-split whenever
-//! another worker goes hungry — while keeping every reported statistic
-//! **bit-identical to the serial search at any worker count**.
+//! The paper's hard benchmarks put nearly all of their schedules into one
+//! bound level, so parallelism has to come from *within* a search. Workers
+//! claim unexplored decision-prefix subtrees from a shared queue, explore
+//! them depth-first with their own reusable [`Execution`], and re-split them
+//! whenever another worker goes hungry. The calling thread reads their
+//! visits back in serial DFS order — exactly the stream the serial producer
+//! yields — so the fold of [`crate::explore`] reports **bit-identical
+//! statistics at any worker count**.
 //!
 //! # The donation protocol
 //!
@@ -34,72 +34,46 @@
 //! cannot prune ([`crate::bounds::BoundPolicy::can_prune`] is `false`, i.e.
 //! plain DFS), the previously chosen thread *always* goes to sleep, so every
 //! sibling's entry sleep set is known a priori and donation is exact; with
-//! sleep sets off the entry state is just the prefix. Hence the gate used
-//! throughout: steal only when POR is off or the policy cannot prune;
-//! otherwise fall back to the serial driver (bit-identity trivially holds).
-//! The schedule cache needs no such gate — workers share one
-//! [`ScheduleCache`] purely as a memo of the deterministic program, and the
-//! reported cache counters are reconstructed serially by the caller's
-//! [`crate::cache::CacheReplay`] fold, exactly as in the cross-level driver.
+//! sleep sets off the entry state is just the prefix. Hence the gate: steal
+//! only when POR is off or the policy cannot prune; otherwise the search
+//! runs on the serial producer. The schedule cache needs no such gate —
+//! workers share one [`ScheduleCache`] purely as a memo of the deterministic
+//! program, and the fold charges the cache counters through a
+//! [`crate::cache::CacheReplay`] mirror of its own serial visit stream.
 //!
-//! # Deterministic folding
+//! # Serial order
 //!
-//! Each task appends to an ordered stream of entries: per-execution digests,
-//! plus `Spawn` markers recording *where in its own stream* a donated bundle
-//! belongs. A donation at stack index `d` belongs right after the last
-//! schedule of the subtree the victim was inside at node `d` — i.e. the
-//! marker is emitted as soon as the victim's backtracking depth retreats to
-//! `d` or above. The fold (on the calling thread) walks the root task's
-//! stream and recursively expands markers, which recovers the serial DFS
-//! visit order of the entire level; per-item counter deltas (sleep-set
-//! insertions split into their begin-execution phase, reduction prunes,
-//! bound prunes) let it reproduce the serial driver's truncation, probe and
-//! drain behaviour to the counter, including mid-stream budget cut-offs.
+//! Each task appends to an ordered stream of visits plus `Spawn` markers
+//! recording *where in its own stream* a donated bundle belongs: right after
+//! the last schedule of the subtree the victim was inside at the donated
+//! node, i.e. as soon as its backtracking depth retreats to that node. A
+//! cursor on the calling thread walks the root task's stream and expands
+//! markers recursively, recovering the serial visit order. Each visit
+//! carries its own sleep and prune deltas, and a marker adds its hand-off's
+//! sleep insertion to the next visit, so the counters match the serial
+//! search exactly, even where the schedule limit cuts the stream.
 
 use crate::bounds::BoundKind;
-use crate::cache::{
-    self, CacheHandle, ScheduleCache, ScheduleRun, SharedCache, TerminalDigest, VisitTrace,
-};
+use crate::cache::{CacheHandle, ScheduleCache, ScheduleRun, TerminalDigest};
 use crate::dfs::{BoundedDfs, SubtreeSeed};
-use crate::explore::{self, ExploreLimits};
-use crate::scheduler::Scheduler;
+use crate::explore::{self, ExploreLimits, Producer, SerialDfs, Visit};
 use crate::stats::ExplorationStats;
 use crate::telemetry::{Event, Telemetry};
 use sct_ir::Program;
 use sct_runtime::{ExecConfig, Execution};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, RwLock};
+use std::sync::{Condvar, Mutex, PoisonError, RwLock};
 use std::thread;
-use std::time::Instant;
 
-/// One completed execution, in its producing task's local order.
-struct Item {
-    digest: TerminalDigest,
-    /// Sleep-blocked completion (uncounted by every driver).
-    redundant: bool,
-    /// Executed for real (`false`: served from the shared cache).
-    executed: bool,
-    /// Bound cost of the schedule under the level's bound kind.
-    cost: u32,
-    /// Sleep-set insertions performed by the `begin_execution` that installed
-    /// this execution; the fold adds the boundary insertions of any subtree
-    /// hand-offs the serial order crosses to reach it. Kept separate from the
-    /// run-phase counters because the serial probe-at-the-limit *prepares*
-    /// one execution (performing these insertions) without running it.
-    begin_slept: u64,
-    /// Reduction prunes recorded while the execution ran.
-    ran_pruned_by_sleep: u64,
-    /// Bound exclusions recorded while the execution ran.
-    ran_bound_prunes: u64,
-    /// Visit footprint for the caller's cache replay (cached levels only).
-    trace: Option<VisitTrace>,
-}
+/// A completed execution with the sleep-set insertions of the begin that
+/// chose it, in its producing task's local order.
+type Begun = (u64, Visit);
 
 /// One entry of a task's ordered stream.
 enum Entry {
-    /// A completed execution (`None` once the fold has consumed it).
-    Item(Option<Item>),
+    /// A completed execution (`None` once the cursor has consumed it).
+    Item(Option<Begun>),
     /// The stream of the given task continues the serial order here.
     Spawn(usize),
 }
@@ -109,11 +83,12 @@ struct TaskState {
     done: bool,
     /// Parked until a worker claims the task; `None` for the root task.
     seed: Option<SubtreeSeed>,
-    /// Boundary sleep insertions charged when the fold enters this stream.
+    /// Boundary sleep insertions charged when the cursor enters this stream.
     entry_slept: u64,
-    /// Items emitted but not yet taken by the fold — the producer parks when
-    /// this exceeds [`PRODUCER_WINDOW`] so a starved fold (or a truncating
-    /// schedule limit) cannot let workers run arbitrarily far ahead.
+    /// Items emitted but not yet taken by the cursor — the producer parks
+    /// when this exceeds [`PRODUCER_WINDOW`] so a starved fold (or a
+    /// truncating schedule limit) cannot let workers run arbitrarily far
+    /// ahead.
     unconsumed: usize,
 }
 
@@ -129,11 +104,10 @@ struct Engine {
     state: Mutex<EngineState>,
     /// Workers wait here for pending tasks.
     work_cv: Condvar,
-    /// The fold waits here for new entries.
+    /// The cursor waits here for new entries.
     item_cv: Condvar,
-    /// Raised when no further results can matter: by the fold once the
-    /// serial stopping rule fired, or by a worker observing the caller's
-    /// cross-level stop flag.
+    /// Raised once no further results can matter: the fold is over, or a
+    /// thread on either side is unwinding.
     stop: AtomicBool,
     /// Workers currently waiting for a task — the hunger signal that makes
     /// busy workers donate a subtree.
@@ -141,7 +115,7 @@ struct Engine {
     /// Mirror of `pending.len()` so the donation check stays lock-free.
     pending_len: AtomicUsize,
     /// Producers park here when their task's stream is a full
-    /// [`PRODUCER_WINDOW`] ahead of the fold.
+    /// [`PRODUCER_WINDOW`] ahead of the cursor.
     space_cv: Condvar,
 }
 
@@ -172,10 +146,12 @@ impl Engine {
         self.stop.load(Ordering::Relaxed)
     }
 
-    /// Raise the stop flag and wake everyone so they can observe it.
+    /// Raise the stop flag and wake everyone so they can observe it. Runs
+    /// from [`ShutDown::drop`] while a thread unwinds, so it must not panic:
+    /// a poisoned lock is taken anyway (only the condvars are touched).
     fn shut_down(&self) {
         self.stop.store(true, Ordering::Relaxed);
-        let _guard = self.state.lock().expect("engine state poisoned");
+        let _guard = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         self.work_cv.notify_all();
         self.item_cv.notify_all();
         self.space_cv.notify_all();
@@ -219,11 +195,11 @@ impl Engine {
         self.item_cv.notify_all();
     }
 
-    /// Park until the fold has taken enough of `task`'s stream to leave its
+    /// Park until the cursor has taken enough of `task`'s stream to leave its
     /// backlog under [`PRODUCER_WINDOW`], returning whether parking
     /// happened — the caller re-checks cancellation and worker hunger
-    /// between parks. Deadlock-free by construction: the stream the fold is
-    /// currently waiting on has been consumed up to its end, so its
+    /// between parks. Deadlock-free by construction: the stream the cursor
+    /// is currently waiting on has been consumed up to its end, so its
     /// producer never parks.
     fn wait_for_space(&self, task: usize) -> bool {
         let st = self.state.lock().expect("engine state poisoned");
@@ -235,6 +211,24 @@ impl Engine {
     }
 }
 
+/// Shuts the engine down when dropped: always on the folding thread (the
+/// fold is over, or unwinding), and on a worker only when it unwinds — a
+/// worker that returns normally must not cut off streams the cursor has yet
+/// to read. Either way a panic reaches the caller instead of leaving the
+/// other threads parked.
+struct ShutDown<'a> {
+    engine: &'a Engine,
+    always: bool,
+}
+
+impl Drop for ShutDown<'_> {
+    fn drop(&mut self) {
+        if self.always || thread::panicking() {
+            self.engine.shut_down();
+        }
+    }
+}
+
 /// Per-run configuration shared by every worker.
 struct WorkerCtx<'a> {
     engine: &'a Engine,
@@ -243,32 +237,11 @@ struct WorkerCtx<'a> {
     kind: BoundKind,
     bound: u32,
     por: bool,
-    want_trace: bool,
     cache: Option<&'a RwLock<ScheduleCache>>,
-    /// The caller's cross-level cancellation flag, promoted to
-    /// [`Engine::stop`] when observed.
-    external_stop: Option<&'a AtomicBool>,
     /// Telemetry handle for donation/theft/idle events. Events are
     /// observations only — workers never read telemetry state, so the folded
     /// results cannot depend on it.
     telemetry: &'a Telemetry,
-}
-
-impl WorkerCtx<'_> {
-    fn should_stop(&self) -> bool {
-        if self.engine.stopped() {
-            return true;
-        }
-        if self
-            .external_stop
-            .is_some_and(|s| s.load(Ordering::Relaxed))
-        {
-            // Promote, so idle workers and a blocked fold wake up too.
-            self.engine.shut_down();
-            return true;
-        }
-        false
-    }
 }
 
 /// How many entries a worker accumulates before handing them to the engine.
@@ -331,27 +304,30 @@ fn worker(ctx: &WorkerCtx<'_>, who: u64) {
                 task: task_id as u64,
             });
         }
-        let mut sched = BoundedDfs::new(ctx.kind.policy(), ctx.bound).with_sleep_sets(ctx.por);
+        let mut dfs = BoundedDfs::new(ctx.kind.policy(), ctx.bound).with_sleep_sets(ctx.por);
         if let Some(seed) = seed {
-            sched.seed_subtree(seed);
+            dfs.seed_subtree(seed);
         }
+        let mut serial = SerialDfs {
+            dfs,
+            exec: &mut exec,
+            kind: ctx.kind,
+        };
         // Donations this task made, as (stack index, task id). Indices are
         // strictly increasing: donating empties every alternative list at or
         // below its index, so the next donation is always deeper.
         let mut donated: Vec<(usize, usize)> = Vec::new();
-        let (mut slept, mut pruned_by_sleep) = (0u64, 0u64);
-        let mut bound_prunes = 0u64;
         // Entries accumulated locally and emitted in batches: taking the
-        // engine lock and waking the fold once per execution costs more than
-        // many of the executions themselves. Ordering within the task's
+        // engine lock and waking the cursor once per execution costs more
+        // than many of the executions themselves. Ordering within the task's
         // stream is unchanged; only the hand-off granularity is.
         let mut batch: Vec<Entry> = Vec::new();
         loop {
             // Between executions: observe cancellation, feed hungry workers,
-            // and park while this task's stream is too far ahead of the fold
-            // (re-checking the first two between parks).
+            // and park while this task's stream is too far ahead of the
+            // cursor (re-checking the first two between parks).
             loop {
-                if ctx.should_stop() {
+                if engine.stopped() {
                     // Results can no longer matter; finish the task so the
                     // engine's bookkeeping drains cleanly.
                     engine.emit(task_id, std::mem::take(&mut batch), true);
@@ -360,7 +336,7 @@ fn worker(ctx: &WorkerCtx<'_>, who: u64) {
                 if engine.idle.load(Ordering::Relaxed) > 0
                     && engine.pending_len.load(Ordering::Relaxed) == 0
                 {
-                    if let Some((seed, depth)) = sched.donate_oldest_subtree() {
+                    if let Some((seed, depth)) = serial.dfs.donate_oldest_subtree() {
                         let id = engine.spawn_task(seed);
                         ctx.telemetry.emit(|| Event::StealDonate {
                             program: ctx.program.name.clone(),
@@ -375,38 +351,32 @@ fn worker(ctx: &WorkerCtx<'_>, who: u64) {
                     break;
                 }
             }
-            let more = sched.begin_execution();
+            let begun = serial.begin();
             // Emit the hand-off markers the serial order has reached: the
             // search retreated past (or never returns to) the donated node.
-            let cut = if more { sched.depth() } else { 0 };
+            let cut = if begun.is_some() {
+                serial.dfs.depth()
+            } else {
+                0
+            };
             while donated.last().is_some_and(|&(depth, _)| cut <= depth) {
                 let (_, id) = donated.pop().expect("marker stack emptied");
                 batch.push(Entry::Spawn(id));
             }
-            if !more {
+            let Some(slept) = begun else {
                 engine.emit(task_id, std::mem::take(&mut batch), true);
                 continue 'tasks;
-            }
+            };
             let handle = match ctx.cache {
                 Some(lock) => CacheHandle::Shared(lock),
                 None => CacheHandle::Off,
             };
-            let (run, trace) =
-                cache::run_begun_schedule(&mut exec, &mut sched, handle, ctx.want_trace);
-            let (slept_now, pruned_by_sleep_now) = sched.sleep_counters();
-            let bound_prunes_now = sched.bound_prune_count();
-            batch.push(Entry::Item(Some(Item {
-                cost: run.cost(ctx.kind),
-                executed: matches!(run, ScheduleRun::Executed(_)),
-                digest: run.digest(),
-                redundant: sched.current_execution_redundant(),
-                begin_slept: slept_now - slept,
-                ran_pruned_by_sleep: pruned_by_sleep_now - pruned_by_sleep,
-                ran_bound_prunes: bound_prunes_now - bound_prunes,
-                trace,
-            })));
-            (slept, pruned_by_sleep, bound_prunes) =
-                (slept_now, pruned_by_sleep_now, bound_prunes_now);
+            let mut visit = serial.run(handle);
+            if let ScheduleRun::Executed(outcome) = &visit.run {
+                // The fold needs only the digest; the outcome stays here.
+                visit.run = ScheduleRun::Served(TerminalDigest::of(outcome));
+            }
+            batch.push(Entry::Item(Some((slept, visit))));
             if batch.len() >= EMIT_BATCH {
                 engine.emit(task_id, std::mem::take(&mut batch), false);
             }
@@ -415,7 +385,7 @@ fn worker(ctx: &WorkerCtx<'_>, who: u64) {
 }
 
 /// Serial-order cursor over the nested task streams.
-struct Fold<'a> {
+struct Cursor<'a> {
     engine: &'a Engine,
     /// `(task id, next entry index)`, innermost stream last.
     cursors: Vec<(usize, usize)>,
@@ -423,14 +393,14 @@ struct Fold<'a> {
     carry_slept: u64,
     /// Items already drained from the streams, awaiting consumption. Taking
     /// the engine lock once per item would contend with the producers; the
-    /// fold instead drains every consecutively available item per
+    /// cursor instead drains every consecutively available item per
     /// acquisition.
-    ready: VecDeque<Item>,
+    ready: VecDeque<Begun>,
 }
 
-impl<'a> Fold<'a> {
+impl<'a> Cursor<'a> {
     fn new(engine: &'a Engine) -> Self {
-        Fold {
+        Cursor {
             engine,
             cursors: vec![(0, 0)],
             carry_slept: 0,
@@ -439,10 +409,10 @@ impl<'a> Fold<'a> {
     }
 
     /// The next item in serial DFS order, blocking until it has been
-    /// produced. `None` when the whole level is exhausted — or when the
-    /// engine was stopped underneath the fold (cross-level cancellation);
-    /// callers distinguish the two via [`Engine::stopped`].
-    fn next(&mut self) -> Option<Item> {
+    /// produced. `None` when the whole search is exhausted — or when the
+    /// engine was stopped because a worker is unwinding, whose panic then
+    /// reaches the caller when the workers are joined.
+    fn next(&mut self) -> Option<Begun> {
         if self.engine.stopped() {
             return None;
         }
@@ -465,7 +435,7 @@ impl<'a> Fold<'a> {
                 match &mut st.tasks[task].entries[idx] {
                     Entry::Item(slot) => {
                         let mut item = slot.take().expect("stream entry folded twice");
-                        item.begin_slept += std::mem::take(&mut self.carry_slept);
+                        item.0 += std::mem::take(&mut self.carry_slept);
                         self.ready.push_back(item);
                         st.tasks[task].unconsumed -= 1;
                         freed = true;
@@ -495,17 +465,77 @@ impl<'a> Fold<'a> {
     }
 }
 
-/// Whether the stealing gate allows parallel exploration for this
-/// configuration (see the module docs for the argument).
-fn stealing_sound(kind: BoundKind, por: bool) -> bool {
-    !por || !kind.policy().can_prune()
+/// The stealing engine as a producer: the cursor's visits, begun one at a
+/// time. The workers already ran each one through their own handle on the
+/// shared trie.
+struct Stolen<'a> {
+    cursor: Cursor<'a>,
+    begun: Option<Visit>,
 }
 
-/// Bounded DFS through the work-stealing engine, with the exact semantics of
-/// [`explore::explore_with`] over a [`BoundedDfs`] — including the
-/// completion probe and redundant-run drain at the schedule limit. Falls
-/// back to the serial driver when `steal_workers <= 1` or when the
-/// POR/bound combination makes donation unsound (see the module docs).
+impl Producer for Stolen<'_> {
+    fn begin(&mut self) -> Option<u64> {
+        let (slept, visit) = self.cursor.next()?;
+        self.begun = Some(visit);
+        Some(slept)
+    }
+
+    fn run(&mut self, _cache: CacheHandle<'_>) -> Visit {
+        self.begun.take().expect("run follows a successful begin")
+    }
+}
+
+/// Hand `fold` a producer for one bounded DFS split across
+/// `limits.steal_workers` threads, which share `cache` (if any) as a pure
+/// memo, and return what `fold` returns. The engine shuts down when the fold
+/// ends or any thread unwinds.
+pub(crate) fn with_engine<R>(
+    program: &Program,
+    config: &ExecConfig,
+    kind: BoundKind,
+    bound: u32,
+    limits: &ExploreLimits,
+    cache: Option<&RwLock<ScheduleCache>>,
+    fold: impl FnOnce(&mut dyn Producer) -> R,
+) -> R {
+    let engine = Engine::new();
+    let ctx = WorkerCtx {
+        engine: &engine,
+        program,
+        config,
+        kind,
+        bound,
+        por: limits.por,
+        cache,
+        telemetry: &limits.telemetry,
+    };
+    thread::scope(|scope| {
+        let ctx = &ctx;
+        for who in 0..limits.steal_workers {
+            scope.spawn(move || {
+                let _unwind = ShutDown {
+                    engine: ctx.engine,
+                    always: false,
+                };
+                worker(ctx, who as u64)
+            });
+        }
+        let _done = ShutDown {
+            engine: &engine,
+            always: true,
+        };
+        fold(&mut Stolen {
+            cursor: Cursor::new(&engine),
+            begun: None,
+        })
+    })
+}
+
+/// Bounded DFS split across [`ExploreLimits::steal_workers`] threads, with
+/// the exact statistics of the serial search — including the completion
+/// probe and redundant-run drain at the schedule limit. Runs serially when
+/// `steal_workers <= 1` or when the POR/bound combination makes donation
+/// unsound (see the module docs).
 pub fn explore_bounded_stealing(
     program: &Program,
     config: &ExecConfig,
@@ -513,7 +543,7 @@ pub fn explore_bounded_stealing(
     bound: u32,
     limits: &ExploreLimits,
 ) -> ExplorationStats {
-    explore_bounded_stealing_digests(program, config, kind, bound, limits).0
+    explore::bounded_search(program, config, kind, bound, limits, false).0
 }
 
 /// [`explore_bounded_stealing`], also returning the terminal digests of the
@@ -527,349 +557,13 @@ pub fn explore_bounded_stealing_digests(
     bound: u32,
     limits: &ExploreLimits,
 ) -> (ExplorationStats, Vec<TerminalDigest>) {
-    let workers = limits.steal_workers.max(1);
-    if workers <= 1 || !stealing_sound(kind, limits.por) {
-        let mut scheduler = BoundedDfs::new(kind.policy(), bound).with_sleep_sets(limits.por);
-        let mut digests = Vec::new();
-        let stats = if let Some(corpus) = limits.shared_cache.clone() {
-            explore::explore_dfs_corpus(
-                program,
-                config,
-                &mut scheduler,
-                limits,
-                &corpus,
-                Some(&mut digests),
-            )
-        } else {
-            explore_serial_digests(program, config, &mut scheduler, limits, &mut digests)
-        };
-        return (stats, digests);
-    }
-    let started = Instant::now();
-    let name = BoundedDfs::new(kind.policy(), bound)
-        .with_sleep_sets(limits.por)
-        .name();
-    let mut stats = ExplorationStats::new(name);
-    let mut digests = Vec::new();
-    // Campaign mode: workers complete schedules through the shared corpus
-    // trie, and the fold replays the visit stream through a mirror seeded
-    // from the load-time baseline, so executions/hits/bytes match the
-    // serial corpus driver bit for bit (see `explore::explore_dfs_corpus`).
-    let corpus = limits.shared_cache.clone();
-    let mut mirror = corpus.as_ref().map(|c| c.mirror());
-    let engine = Engine::new();
-    let ctx = WorkerCtx {
-        engine: &engine,
-        program,
-        config,
-        kind,
-        bound,
-        por: limits.por,
-        want_trace: corpus.is_some(),
-        cache: corpus.as_deref().map(SharedCache::live),
-        external_stop: None,
-        telemetry: &limits.telemetry,
-    };
-    thread::scope(|scope| {
-        let ctx = &ctx;
-        for who in 0..workers {
-            scope.spawn(move || worker(ctx, who as u64));
-        }
-        let mut fold = Fold::new(&engine);
-        // Serial-order execution accounting: without a corpus every folded
-        // item was executed for real; with one, the mirror decides (a visit
-        // the baseline-plus-own-stream cache covers is a hit, not a run).
-        let mut charge = |stats: &mut ExplorationStats, item: &Item| match mirror.as_mut() {
-            Some(m) => {
-                let trace = item.trace.as_ref().expect("corpus mode requests traces");
-                if !m.apply(&trace.schedule, &trace.enabled_counts) {
-                    stats.executions += 1;
-                }
-            }
-            None => stats.executions += 1,
-        };
-        let deadline = explore::deadline_from(started, limits);
-        let mut complete = false;
-        loop {
-            if stats.schedules >= limits.schedule_limit {
-                break;
-            }
-            if explore::deadline_fired(deadline) {
-                // Cooperative wall-clock stop, checked once per folded
-                // schedule like the serial driver checks per executed one.
-                // The shut-down below cancels the workers' in-flight tail.
-                stats.deadline_exceeded = true;
-                break;
-            }
-            match fold.next() {
-                None => {
-                    complete = true;
-                    break;
-                }
-                Some(item) => {
-                    charge(&mut stats, &item);
-                    stats.slept += item.begin_slept;
-                    stats.pruned_by_sleep += item.ran_pruned_by_sleep;
-                    if !item.redundant {
-                        let prev = stats.schedules_to_first_bug;
-                        item.digest.record_into(&mut stats);
-                        explore::note_first_bug(prev, &stats, &limits.telemetry, &program.name);
-                        digests.push(item.digest);
-                    }
-                    // The live mirror is mutably captured by `charge`, so the
-                    // beacon reports hits as 0; the technique-level summary
-                    // carries the real figure.
-                    limits.telemetry.progress(|| Event::Progress {
-                        program: program.name.clone(),
-                        technique: stats.technique.clone(),
-                        schedules: stats.schedules,
-                        executions: stats.executions,
-                        cache_hits: 0,
-                    });
-                }
-            }
-        }
-        if !complete && !stats.deadline_exceeded && stats.schedules >= limits.schedule_limit {
-            // The serial driver probes a scheduler that filled its budget:
-            // one more `begin_execution`, plus — under POR — a drain of
-            // trailing redundant completions (see `explore_with`). Replay
-            // that over the stream: the probed-but-never-run execution
-            // charges only its begin-phase sleep insertions.
-            let mut drain_budget = limits.schedule_limit;
-            loop {
-                match fold.next() {
-                    None => {
-                        complete = true;
-                        break;
-                    }
-                    Some(item) => {
-                        if !limits.por || drain_budget == 0 {
-                            // The serial driver only *prepares* this
-                            // execution: charge its begin-phase sleep
-                            // insertions, but neither the mirror nor the
-                            // execution counter sees it.
-                            stats.slept += item.begin_slept;
-                            break;
-                        }
-                        drain_budget -= 1;
-                        charge(&mut stats, &item);
-                        stats.slept += item.begin_slept;
-                        stats.pruned_by_sleep += item.ran_pruned_by_sleep;
-                        if !item.redundant {
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        stats.complete = complete;
-        stats.hit_schedule_limit = stats.schedules >= limits.schedule_limit && !complete;
-        engine.shut_down();
-    });
-    if let Some(m) = &mirror {
-        stats.cache_hits = m.hits();
-        stats.cache_bytes = m.bytes();
-    }
-    stats.explore_nanos = started.elapsed().as_nanos() as u64;
-    (stats, digests)
-}
-
-/// The serial fallback of [`explore_bounded_stealing_digests`]: drive the
-/// scheduler exactly like [`explore::explore_with`] while collecting the
-/// counted digests.
-fn explore_serial_digests(
-    program: &Program,
-    config: &ExecConfig,
-    scheduler: &mut BoundedDfs,
-    limits: &ExploreLimits,
-    digests: &mut Vec<TerminalDigest>,
-) -> ExplorationStats {
-    struct Collect<'a, 'b> {
-        inner: &'a mut BoundedDfs,
-        digests: &'b mut Vec<TerminalDigest>,
-        last_redundant: bool,
-    }
-    impl Scheduler for Collect<'_, '_> {
-        fn begin_execution(&mut self) -> bool {
-            self.inner.begin_execution()
-        }
-        fn choose(&mut self, point: &sct_runtime::SchedulingPoint) -> sct_runtime::ThreadId {
-            self.inner.choose(point)
-        }
-        fn end_execution(&mut self, outcome: &sct_runtime::ExecutionOutcome) {
-            self.inner.end_execution(outcome);
-            self.last_redundant = self.inner.current_execution_redundant();
-            if !self.last_redundant {
-                self.digests.push(TerminalDigest::of(outcome));
-            }
-        }
-        fn name(&self) -> String {
-            self.inner.name()
-        }
-        fn is_exhaustive(&self) -> bool {
-            self.inner.is_exhaustive()
-        }
-        fn can_exhaust(&self) -> bool {
-            self.inner.can_exhaust()
-        }
-        fn sleep_counters(&self) -> (u64, u64) {
-            self.inner.sleep_counters()
-        }
-        fn current_execution_redundant(&self) -> bool {
-            self.inner.current_execution_redundant()
-        }
-    }
-    let mut collect = Collect {
-        inner: scheduler,
-        digests,
-        last_redundant: false,
-    };
-    let stats = explore::explore_with(program, config, &mut collect, limits);
-    // The probe/drain at the limit may have run (and pushed) executions the
-    // serial driver discards; the stealing driver never surfaces those, so
-    // trim the collection back to the counted schedules.
-    collect.digests.truncate(stats.schedules as usize);
-    stats
-}
-
-/// One schedule of a stolen bound level, in serial visit order, with the
-/// cumulative counter snapshots the cross-level fold stamps on counted
-/// digests.
-pub(crate) struct LevelItem {
-    pub digest: TerminalDigest,
-    /// Whether the level's iteration rules count this schedule
-    /// (non-redundant, cost equal to the bound — or any cost at bound 0).
-    pub counted: bool,
-    /// Cumulative sleep-set counters as of this schedule, serial order.
-    pub slept: u64,
-    pub pruned_by_sleep: u64,
-    /// Cumulative real-execution count as of this schedule. Only meaningful
-    /// without caching (same caveat as the serial level driver: under a
-    /// shared cache the fold recomputes executions from the visit traces).
-    pub executions: u64,
-    /// Visit footprint for the cache replay (cached levels only).
-    pub trace: Option<VisitTrace>,
-}
-
-/// A bound level explored by the stealing engine: the serial-order prefix of
-/// its schedule stream up to the budget cap, plus the completion facts the
-/// cross-level fold consumes.
-pub(crate) struct LevelRun {
-    pub items: Vec<LevelItem>,
-    /// Whether the level's search space was exhausted before the cap (and
-    /// without cancellation) — the stream analogue of the serial driver
-    /// learning completeness from one more `begin_execution`.
-    pub complete: bool,
-    /// Whether the bound excluded an alternative anywhere in the explored
-    /// prefix.
-    pub pruned: bool,
-    /// Final counters, used by the fold only when the level applies in full.
-    pub slept: u64,
-    pub pruned_by_sleep: u64,
-    pub executions: u64,
-    /// Whether the caller's wall-clock deadline cut this level short (the
-    /// explored prefix is still valid; the cross-level fold stops after it).
-    pub deadline_exceeded: bool,
-}
-
-/// Explore one bound level with the work-stealing engine, producing exactly
-/// the stream the serial per-level driver (`run_bound` in
-/// [`crate::parallel`]) would have produced: same schedules, same serial
-/// visit order, same cut-off at the budget cap, same completion facts.
-/// Callers gate on [`ExploreLimits::steal_workers`] and POR (the engine is
-/// only used for POR-off levels; see the module docs).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_level_stealing(
-    program: &Program,
-    config: &ExecConfig,
-    kind: BoundKind,
-    bound: u32,
-    limits: &ExploreLimits,
-    stop: &AtomicBool,
-    shared_cache: Option<&RwLock<ScheduleCache>>,
-    deadline: Option<Instant>,
-) -> LevelRun {
-    debug_assert!(stealing_sound(kind, limits.por));
-    let workers = limits.steal_workers.max(1);
-    let cap = limits.schedule_limit;
-    let engine = Engine::new();
-    let ctx = WorkerCtx {
-        engine: &engine,
-        program,
-        config,
-        kind,
-        bound,
-        por: limits.por,
-        want_trace: shared_cache.is_some(),
-        cache: shared_cache,
-        external_stop: Some(stop),
-        telemetry: &limits.telemetry,
-    };
-    let mut items: Vec<LevelItem> = Vec::new();
-    let (mut counted, mut executions) = (0u64, 0u64);
-    let (mut slept, mut pruned_by_sleep) = (0u64, 0u64);
-    let mut pruned = false;
-    let mut complete = false;
-    let mut deadline_exceeded = false;
-    thread::scope(|scope| {
-        let ctx = &ctx;
-        for who in 0..workers {
-            scope.spawn(move || worker(ctx, who as u64));
-        }
-        let mut fold = Fold::new(&engine);
-        while counted < cap && !stop.load(Ordering::Relaxed) {
-            if explore::deadline_fired(deadline) {
-                deadline_exceeded = true;
-                break;
-            }
-            match fold.next() {
-                None => {
-                    // Exhausted — unless the engine was stopped underneath
-                    // the fold, in which case this level is cancelled and its
-                    // result will be discarded anyway.
-                    complete = !engine.stopped();
-                    break;
-                }
-                Some(item) => {
-                    slept += item.begin_slept;
-                    pruned_by_sleep += item.ran_pruned_by_sleep;
-                    if item.executed {
-                        executions += 1;
-                    }
-                    if item.ran_bound_prunes > 0 {
-                        pruned = true;
-                    }
-                    let is_counted = !item.redundant && (item.cost == bound || bound == 0);
-                    if is_counted {
-                        counted += 1;
-                    }
-                    items.push(LevelItem {
-                        digest: item.digest,
-                        counted: is_counted,
-                        slept,
-                        pruned_by_sleep,
-                        executions,
-                        trace: item.trace,
-                    });
-                }
-            }
-        }
-        engine.shut_down();
-    });
-    LevelRun {
-        items,
-        complete,
-        pruned,
-        slept,
-        pruned_by_sleep,
-        executions,
-        deadline_exceeded,
-    }
+    explore::bounded_search(program, config, kind, bound, limits, true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::Scheduler;
     use sct_ir::prelude::*;
 
     fn figure1() -> Program {

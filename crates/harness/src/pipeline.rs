@@ -813,6 +813,29 @@ mod tests {
     }
 
     #[test]
+    fn an_engine_panic_in_a_stolen_search_is_isolated_to_one_row() {
+        use sct_core::{fault, FaultKind};
+        // reorder_10_bad is used by no other test in this crate, and its
+        // bound-0 level alone holds far more than the 128 schedules a
+        // stealing worker may run ahead of the fold: a fold that panicked
+        // without shutting the engine down would leave its workers parked,
+        // and the unit would hang instead of becoming a marked row.
+        let spec = benchmark_by_name("CS.reorder_10_bad").unwrap();
+        let _fault = fault::arm(FaultKind::SchedulePanic, "reorder_10_bad", 1);
+        let mut cfg = quick_config();
+        cfg.workers = 1; // serial technique order: IPB takes the panic
+        cfg.steal_workers = 2;
+        cfg.use_race_phase = false;
+        let result = run_benchmark(&spec, &cfg).unwrap();
+        assert_eq!(result.techniques.len(), 5);
+        assert!(result.technique("IPB").unwrap().engine_panic);
+        for t in result.techniques.iter().filter(|t| t.technique != "IPB") {
+            assert!(!t.engine_panic, "{} must be unaffected", t.technique);
+            assert!(t.schedules > 0, "{} must have kept running", t.technique);
+        }
+    }
+
+    #[test]
     fn an_engine_panic_mid_campaign_checkpoints_and_resumes_cleanly() {
         use sct_core::{fault, FaultKind};
         // wronglock_bad is used by no other test in this crate, so the

@@ -380,35 +380,6 @@ fn differential_sleep_set_dfs_matches_plain_dfs_on_every_tractable_benchmark() {
     );
 }
 
-#[test]
-fn por_parallel_iterative_bounding_is_bit_identical_to_the_serial_driver() {
-    // With pruning enabled, `parallel_iterative_bounding` must still produce
-    // the exact serial statistics — digests, sleep counters, bounds and
-    // budget flags — at 1, 2 and 8 workers (plus any worker count injected
-    // by CI through SCT_TEST_WORKERS).
-    let worker_counts = differential_worker_counts();
-    for name in ["CS.din_phil2_sat", "CS.reorder_3_bad", "CS.twostage_bad"] {
-        let spec = benchmark_by_name(name).unwrap();
-        let program = spec.program();
-        let config = ExecConfig::all_visible();
-        for schedule_limit in [7u64, 2_000] {
-            let limits = ExploreLimits::with_schedule_limit(schedule_limit).with_por(true);
-            for kind in [BoundKind::Preemption, BoundKind::Delay] {
-                let serial = iterative_bounding(&program, &config, kind, &limits);
-                for &workers in &worker_counts {
-                    let parallel = sct::core::parallel_iterative_bounding(
-                        &program, &config, kind, &limits, workers,
-                    );
-                    assert_eq!(
-                        serial, parallel,
-                        "{name}: {kind:?} with {workers} workers at limit {schedule_limit}"
-                    );
-                }
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Schedule caching: the differential-testing harness.
 // ---------------------------------------------------------------------------
@@ -603,30 +574,41 @@ fn differential_cached_bounding_preserves_bugs_and_terminal_fingerprints() {
 }
 
 #[test]
-fn cached_parallel_iterative_bounding_is_bit_identical_to_the_serial_driver() {
-    // With caching on, `parallel_iterative_bounding` must reproduce the
-    // serial statistics exactly — including the executions / cache_hits /
-    // cache_bytes counters recomputed by the fold's deterministic cache
-    // replay — at 1, 2 and 8 workers (plus any count injected by CI through
-    // SCT_TEST_WORKERS), with and without POR and budget truncation.
+fn stolen_levels_with_cache_and_por_match_the_serial_levels_under_truncation() {
+    // Iterative bounding with the schedule cache and sleep sets in every
+    // combination, at a limit that cuts a bound level mid-way and at one that
+    // does not: the stolen levels must reproduce the serial statistics —
+    // sleep counters, executions and the cache counters the fold charges
+    // through its mirror included — at 1, 2 and 8 steal workers (plus any
+    // count injected by CI through SCT_TEST_WORKERS). POR levels under a
+    // pruning bound stay serial, so there equality holds by construction.
     let worker_counts = differential_worker_counts();
     for name in ["CS.din_phil2_sat", "CS.reorder_3_bad", "CS.twostage_bad"] {
         let spec = benchmark_by_name(name).unwrap();
         let program = spec.program();
         let config = ExecConfig::all_visible();
-        for (schedule_limit, por) in [(7u64, false), (2_000, false), (2_000, true)] {
+        for (schedule_limit, por, cache) in [
+            (7u64, true, false),
+            (7, false, true),
+            (7, true, true),
+            (2_000, true, true),
+        ] {
             let limits = ExploreLimits::with_schedule_limit(schedule_limit)
                 .with_por(por)
-                .with_cache(true);
+                .with_cache(cache);
             for kind in [BoundKind::Preemption, BoundKind::Delay] {
                 let serial = iterative_bounding(&program, &config, kind, &limits);
                 for &workers in &worker_counts {
-                    let parallel = sct::core::parallel_iterative_bounding(
-                        &program, &config, kind, &limits, workers,
+                    let stolen = iterative_bounding(
+                        &program,
+                        &config,
+                        kind,
+                        &limits.clone().with_steal_workers(workers),
                     );
                     assert_eq!(
-                        serial, parallel,
-                        "{name}: {kind:?} with {workers} workers at limit {schedule_limit}, por={por}"
+                        serial, stolen,
+                        "{name}: {kind:?} with {workers} steal workers at limit \
+                         {schedule_limit}, por={por}, cache={cache}"
                     );
                 }
             }
@@ -1581,6 +1563,58 @@ fn telemetry_tracing_changes_no_stats_or_digest_stream() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn every_producer_emits_the_same_bound_cache_and_bug_events() {
+    // One fold emits the search events whichever producer runs a search. A
+    // campaign-mode DFS and IDB over a tiny shared trie each report exactly
+    // one cache_degraded, and the sequence of bound_level, cache_degraded
+    // and bug_found events is identical on one thread and stolen across two.
+    use sct::core::telemetry::BufferRecorder;
+    use std::sync::Arc;
+
+    let spec = benchmark_by_name("CS.reorder_3_bad").unwrap();
+    let program = spec.program();
+    let config = ExecConfig::all_visible();
+    let search_events = |workers: usize, technique: Technique| {
+        let recorder = Arc::new(BufferRecorder::default());
+        let limits = limits(500)
+            .with_steal_workers(workers)
+            .with_shared_cache(Some(Arc::new(SharedCache::new(2_000))))
+            .with_telemetry(Telemetry::new(vec![Box::new(Arc::clone(&recorder))]));
+        explore::run_technique(&program, &config, technique, &limits);
+        recorder
+            .lines()
+            .into_iter()
+            .filter(|line| {
+                ["bound_level", "cache_degraded", "bug_found"]
+                    .iter()
+                    .any(|kind| line.contains(&format!("\"type\":\"{kind}\"")))
+            })
+            .collect::<Vec<_>>()
+    };
+    for technique in [Technique::Dfs, Technique::IterativeDelayBounding] {
+        let serial = search_events(1, technique);
+        let degraded = serial
+            .iter()
+            .filter(|line| line.contains("\"type\":\"cache_degraded\""))
+            .count();
+        assert_eq!(degraded, 1, "{}: {serial:?}", technique.label());
+        assert!(
+            serial
+                .iter()
+                .any(|line| line.contains("\"type\":\"bug_found\"")),
+            "{}: the oracle needs a bug",
+            technique.label()
+        );
+        assert_eq!(
+            serial,
+            search_events(2, technique),
+            "{}: events differ between the serial and the stolen search",
+            technique.label()
+        );
     }
 }
 
