@@ -17,16 +17,20 @@ use std::borrow::Cow;
 /// A single controlled execution of a program.
 ///
 /// The expected call pattern is [`Execution::new`] followed by
-/// [`Execution::run`]; explorers that need finer control can instead drive
-/// the loop themselves with [`Execution::enabled_threads`],
-/// [`Execution::scheduling_point`] and [`Execution::step`].
+/// [`Execution::run`]. `run` allocates nothing per step: instructions are
+/// executed in place, borrowed from the program, and every scheduling point
+/// is refilled into one [`SchedulingPoint`] buffer owned by the execution.
+/// [`Execution::start`], [`Execution::scheduling_point`] and
+/// [`Execution::step`] expose the same steps one at a time (the point is then
+/// a fresh copy built by the code `run` uses), for tests and tools that
+/// inspect the state between steps.
 ///
 /// Explorers that run many schedules of the same program should construct the
 /// execution **once** (with [`Execution::new_shared`], which borrows the
 /// configuration instead of cloning it) and call [`Execution::reset`] between
 /// schedules: the rewind reuses every internal allocation, including the
-/// per-thread state of previously spawned threads, instead of rebuilding a
-/// dozen `Vec`s per schedule.
+/// per-thread state of previously spawned threads and the point buffer,
+/// instead of rebuilding a dozen `Vec`s per schedule.
 pub struct Execution<'p> {
     program: &'p Program,
     config: Cow<'p, ExecConfig>,
@@ -56,6 +60,10 @@ pub struct Execution<'p> {
     /// before allocating, so repeated schedules of the same program reuse the
     /// per-thread `locals` buffers.
     thread_pool: Vec<ThreadState>,
+
+    /// The point handed to the scheduler by [`Execution::run`], refilled in
+    /// place at every step.
+    point: SchedulingPoint,
 
     last: Option<ThreadId>,
     steps: Vec<StepRecord>,
@@ -151,6 +159,7 @@ impl<'p> Execution<'p> {
             barrier_len,
             threads,
             thread_pool: Vec::new(),
+            point: SchedulingPoint::default(),
             last: None,
             steps: Vec::new(),
             bug: None,
@@ -278,17 +287,20 @@ impl<'p> Execution<'p> {
         }
     }
 
-    fn pending_instr(&self, tid: ThreadId) -> Option<&Instr> {
+    /// The instruction `tid` is parked at, borrowed from the program rather
+    /// than from `self`, so the interpreter can execute it while mutating its
+    /// own state.
+    fn pending_instr(&self, tid: ThreadId) -> Option<&'p Instr> {
+        let program: &'p Program = self.program;
         let t = &self.threads[tid.index()];
-        self.program.templates[t.template.index()].body.get(t.pc)
+        program.templates[t.template.index()].body.get(t.pc)
     }
 
     /// Threads currently enabled, in thread-id order.
     pub fn enabled_threads(&self) -> Vec<ThreadId> {
-        (0..self.threads.len())
-            .map(ThreadId)
-            .filter(|&t| self.thread_enabled(t))
-            .collect()
+        let mut point = SchedulingPoint::default();
+        self.fill_point(&mut point);
+        point.enabled
     }
 
     /// True when every thread has finished.
@@ -299,7 +311,7 @@ impl<'p> Execution<'p> {
     /// True once the execution can make no further progress (terminal state,
     /// bug found, or divergence).
     pub fn is_terminal(&self) -> bool {
-        self.bug.is_some() || self.enabled_threads().is_empty()
+        self.bug.is_some() || !(0..self.threads.len()).any(|t| self.thread_enabled(ThreadId(t)))
     }
 
     // ----- scheduling point construction -----
@@ -331,19 +343,34 @@ impl<'p> Execution<'p> {
         }
     }
 
-    /// Build the scheduling point for the current state. `enabled` must be
-    /// the current enabled set (callers obtain it from
-    /// [`Execution::enabled_threads`]).
+    /// Build the scheduling point for the current state, with the code
+    /// [`Execution::run`] uses for the point it hands to its scheduler.
+    /// `enabled` must be the current enabled set (callers obtain it from
+    /// [`Execution::enabled_threads`]; checked in debug builds).
     pub fn scheduling_point(&self, enabled: &[ThreadId]) -> SchedulingPoint {
-        let last_enabled = self.last.map(|l| enabled.contains(&l)).unwrap_or(false);
-        SchedulingPoint {
-            enabled: enabled.to_vec(),
-            last: self.last,
-            last_enabled,
-            num_threads: self.threads.len(),
-            step_index: self.steps.len(),
-            pending: enabled.iter().map(|&t| self.pending_summary(t)).collect(),
-        }
+        let mut point = SchedulingPoint::default();
+        self.fill_point(&mut point);
+        debug_assert_eq!(point.enabled, enabled, "stale enabled set");
+        point
+    }
+
+    /// Rewrite `point` in place to describe the current state, reusing its
+    /// vectors' capacity: the one place a scheduling point is built.
+    fn fill_point(&self, point: &mut SchedulingPoint) {
+        point.enabled.clear();
+        point.enabled.extend(
+            (0..self.threads.len())
+                .map(ThreadId)
+                .filter(|&t| self.thread_enabled(t)),
+        );
+        point.pending.clear();
+        point
+            .pending
+            .extend(point.enabled.iter().map(|&t| self.pending_summary(t)));
+        point.last = self.last;
+        point.last_enabled = self.last.is_some_and(|l| point.enabled.contains(&l));
+        point.num_threads = self.threads.len();
+        point.step_index = self.steps.len();
     }
 
     // ----- resolution helpers -----
@@ -467,13 +494,10 @@ impl<'p> Execution<'p> {
             }
             let template = t.template;
             let pc = t.pc;
-            let instr = match self.program.templates[template.index()].body.get(pc) {
-                Some(i) => i.clone(),
-                None => {
-                    // Running off the end of the body terminates the thread.
-                    self.finish_thread(tid, observer);
-                    return;
-                }
+            let Some(instr) = self.pending_instr(tid) else {
+                // Running off the end of the body terminates the thread.
+                self.finish_thread(tid, observer);
+                return;
             };
             match instr {
                 Instr::Halt => {
@@ -481,21 +505,21 @@ impl<'p> Execution<'p> {
                     return;
                 }
                 Instr::Goto { target } => {
-                    self.threads[tid.index()].pc = target;
+                    self.threads[tid.index()].pc = *target;
                 }
                 Instr::Branch { cond, target } => {
                     let v = cond.eval(&self.threads[tid.index()].locals);
-                    self.threads[tid.index()].pc = if v == 0 { target } else { pc + 1 };
+                    self.threads[tid.index()].pc = if v == 0 { *target } else { pc + 1 };
                 }
                 Instr::Op { op } => {
                     let loc = Loc {
                         template,
                         pc: pc as u32,
                     };
-                    if self.op_visible(&op, loc) {
+                    if self.op_visible(op, loc) {
                         return; // parked at a visible operation
                     }
-                    self.execute_invisible_op(tid, &op, loc, observer);
+                    self.execute_invisible_op(tid, op, loc, observer);
                     if self.bug.is_some() {
                         return;
                     }
@@ -567,9 +591,9 @@ impl<'p> Execution<'p> {
     }
 
     /// Execute one step of `tid`: its pending visible operation followed by
-    /// the invisible operations up to the next visible one. The caller must
-    /// ensure `tid` is currently enabled.
-    pub fn step(&mut self, tid: ThreadId, observer: &mut dyn ExecObserver) {
+    /// the invisible operations up to the next visible one. `tid` must be
+    /// enabled.
+    fn execute(&mut self, tid: ThreadId, observer: &mut dyn ExecObserver) {
         debug_assert!(self.thread_enabled(tid), "step() on a disabled thread");
 
         // A woken condition waiter re-acquires its mutex as its visible step.
@@ -582,21 +606,17 @@ impl<'p> Execution<'p> {
             return;
         }
 
-        let instr = match self.pending_instr(tid) {
-            Some(i) => i.clone(),
-            None => {
-                self.finish_thread(tid, observer);
-                self.last = Some(tid);
-                return;
-            }
+        let Some(instr) = self.pending_instr(tid) else {
+            self.finish_thread(tid, observer);
+            self.last = Some(tid);
+            return;
         };
         let loc = self.loc_of(tid);
         self.last = Some(tid);
-        // `advance` never parks a thread at a control-flow instruction, but
-        // the very first step of the initial thread may start here, so
-        // non-`Op` instructions simply fall through to `advance`.
+        // `advance` never parks a thread at a control-flow instruction, so
+        // after `start` a runnable thread is always at an `Op`.
         if let Instr::Op { op } = instr {
-            self.execute_visible_op(tid, &op, loc, observer);
+            self.execute_visible_op(tid, op, loc, observer);
         }
         if self.bug.is_none() {
             self.advance(tid, observer);
@@ -855,6 +875,47 @@ impl<'p> Execution<'p> {
 
     // ----- driver -----
 
+    /// Run the initial thread's invisible prefix, up to its first visible
+    /// operation: the state the first scheduling point describes. `run` and
+    /// `step` call this themselves; it does nothing after the first call
+    /// (until [`Execution::reset`]). Call it before building the first point
+    /// with [`Execution::scheduling_point`] when driving steps by hand.
+    pub fn start(&mut self, observer: &mut dyn ExecObserver) {
+        if !self.started {
+            self.started = true;
+            self.advance(ThreadId(0), observer);
+        }
+    }
+
+    /// Take one step of `tid` from the current scheduling point, exactly as
+    /// [`Execution::run`] does once its scheduler has chosen `tid`: record
+    /// the step, then execute `tid`'s pending visible operation followed by
+    /// the invisible operations up to the next visible one. The caller must
+    /// ensure `tid` is currently enabled.
+    pub fn step(&mut self, tid: ThreadId, observer: &mut dyn ExecObserver) {
+        self.start(observer);
+        let mut point = std::mem::take(&mut self.point);
+        self.fill_point(&mut point);
+        self.record(&point, tid);
+        self.point = point;
+        self.execute(tid, observer);
+    }
+
+    /// Account for the step `choice` takes from `point`.
+    fn record(&mut self, point: &SchedulingPoint, choice: ThreadId) {
+        self.max_enabled = self.max_enabled.max(point.enabled.len());
+        if point.has_choice() {
+            self.scheduling_points += 1;
+        }
+        self.steps.push(StepRecord {
+            thread: choice,
+            enabled: crate::ThreadSet::from_slice(&point.enabled),
+            last_enabled: point.last_enabled,
+            last: point.last,
+            num_threads: point.num_threads,
+        });
+    }
+
     /// Run the execution to a terminal state, consulting `choose` at every
     /// scheduling point.
     pub fn run(
@@ -862,10 +923,10 @@ impl<'p> Execution<'p> {
         choose: &mut dyn FnMut(&SchedulingPoint) -> ThreadId,
         observer: &mut dyn ExecObserver,
     ) -> ExecutionOutcome {
-        if !self.started {
-            self.started = true;
-            self.advance(ThreadId(0), observer);
-        }
+        self.start(observer);
+        // Taken out of `self` for the loop so `fill_point` can borrow the
+        // state while refilling it; put back (capacity intact) afterwards.
+        let mut point = std::mem::take(&mut self.point);
         loop {
             if self.bug.is_some() {
                 break;
@@ -876,8 +937,8 @@ impl<'p> Execution<'p> {
                 });
                 break;
             }
-            let enabled = self.enabled_threads();
-            if enabled.is_empty() {
+            self.fill_point(&mut point);
+            if point.enabled.is_empty() {
                 if !self.all_finished() {
                     let blocked = (0..self.threads.len())
                         .map(ThreadId)
@@ -887,25 +948,15 @@ impl<'p> Execution<'p> {
                 }
                 break;
             }
-            self.max_enabled = self.max_enabled.max(enabled.len());
-            if enabled.len() > 1 {
-                self.scheduling_points += 1;
-            }
-            let point = self.scheduling_point(&enabled);
             let mut choice = choose(&point);
-            if !enabled.contains(&choice) {
+            if !point.is_enabled(choice) {
                 debug_assert!(false, "scheduler chose a disabled thread {choice}");
-                choice = enabled[0];
+                choice = point.enabled[0];
             }
-            self.steps.push(StepRecord {
-                thread: choice,
-                enabled: crate::ThreadSet::from_slice(&enabled),
-                last_enabled: point.last_enabled,
-                last: point.last,
-                num_threads: point.num_threads,
-            });
-            self.step(choice, observer);
+            self.record(&point, choice);
+            self.execute(choice, observer);
         }
+        self.point = point;
         self.outcome()
     }
 
@@ -1502,6 +1553,139 @@ mod tests {
         assert!(second.bug.is_none(), "{:?}", second.bug);
         assert_eq!(first.fingerprint, second.fingerprint);
         assert_eq!(first.steps, second.steps);
+    }
+
+    /// A program that takes every borrowed-instruction path of the
+    /// interpreter: `While` loops (branch + goto), indexed array stores and
+    /// loads (main's index runs out of bounds once the filler has signalled),
+    /// an assertion that fails when the waiter overtakes the filler, a
+    /// condition-variable wake (the `Reacquiring` step) and a barrier release,
+    /// where `advance` runs the released thread from inside
+    /// `execute_visible_op`.
+    fn mixed_paths() -> Program {
+        let mut p = ProgramBuilder::new("mixed-paths");
+        let arr = p.global_array_zeroed("arr", 3);
+        let ready = p.global("ready", 0);
+        let m = p.mutex("m");
+        let cv = p.condvar("cv");
+        let bar = p.barrier("bar", 2);
+        let filler = p.thread("filler", |b| {
+            let i = b.local_init("i", 0);
+            b.while_(lt(i, 3), |b| {
+                b.store(arr.at(i), add(i, 1));
+                b.assign(i, add(i, 1));
+            });
+            b.barrier_wait(bar);
+            b.lock(m);
+            b.store(ready, 1);
+            b.signal(cv);
+            b.unlock(m);
+        });
+        let waiter = p.thread("waiter", |b| {
+            let v = b.local("v");
+            b.load(arr.at(0), v);
+            b.assert_cond(eq(v, 1), "the filler's first store is visible");
+            let r = b.local("r");
+            b.lock(m);
+            b.load(ready, r);
+            b.while_(eq(r, 0), |b| {
+                b.wait(cv, m);
+                b.load(ready, r);
+            });
+            b.unlock(m);
+        });
+        p.main(|b| {
+            let h1 = b.local("h1");
+            let h2 = b.local("h2");
+            b.spawn_into(filler, h1);
+            b.spawn_into(waiter, h2);
+            b.barrier_wait(bar);
+            let r = b.local("r");
+            let v = b.local("v");
+            b.load(ready, r);
+            b.load(arr.at(mul(r, 3)), v);
+            b.join(h1);
+            b.join(h2);
+        });
+        p.build().unwrap()
+    }
+
+    /// Counts condition-variable wake-ups and barrier acquisitions.
+    #[derive(Default)]
+    struct Wakes {
+        condvar: usize,
+        barrier: usize,
+    }
+
+    impl ExecObserver for Wakes {
+        fn on_acquire(&mut self, _thread: ThreadId, object: SyncObjectId) {
+            match object {
+                SyncObjectId::Condvar(_) => self.condvar += 1,
+                SyncObjectId::Barrier(_) => self.barrier += 1,
+                _ => {}
+            }
+        }
+    }
+
+    /// Schedule `k`: round robin, two adversarial orders (highest id first;
+    /// the waiter whenever it can run) and, from `k = 3`, a seeded random walk.
+    fn pick(k: u64, p: &SchedulingPoint, rng: &mut u64) -> ThreadId {
+        match k {
+            0 => p.round_robin_choice(),
+            1 => *p.enabled.last().unwrap(),
+            2 if p.is_enabled(ThreadId(2)) => ThreadId(2),
+            2 => p.enabled[0],
+            _ => {
+                *rng = rng
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                p.enabled[(*rng >> 33) as usize % p.enabled.len()]
+            }
+        }
+    }
+
+    #[test]
+    fn reset_reuse_matches_fresh_executions_on_every_interpreter_path() {
+        let prog = mixed_paths();
+        // With invisible data accesses the filler's stores and main's reads
+        // run inside the synchronisation steps, so only the condvar and
+        // barrier orders vary and every schedule is clean.
+        for (config, expected) in [
+            (
+                ExecConfig::all_visible(),
+                &["assertion", "clean", "out-of-bounds"][..],
+            ),
+            (ExecConfig::sync_only(), &["clean"][..]),
+        ] {
+            let mut reused = Execution::new_shared(&prog, &config);
+            let mut outcomes = std::collections::BTreeSet::new();
+            let mut wakes = Wakes::default();
+            for k in 0..24u64 {
+                reused.reset();
+                let mut rng = k;
+                let a = reused.run(&mut |p| pick(k, p, &mut rng), &mut wakes);
+                let mut rng = k;
+                let b = Execution::new(&prog, config.clone())
+                    .run(&mut |p| pick(k, p, &mut rng), &mut NoopObserver);
+                assert_eq!(a.steps, b.steps, "schedule {k}");
+                assert_eq!(a.fingerprint, b.fingerprint, "schedule {k}");
+                assert_eq!(a.bug, b.bug, "schedule {k}");
+                outcomes.insert(match a.bug {
+                    None => "clean",
+                    Some(Bug::AssertionFailure { .. }) => "assertion",
+                    Some(Bug::OutOfBounds { index: 3, .. }) => "out-of-bounds",
+                    Some(other) => panic!("schedule {k}: unexpected {other:?}"),
+                });
+            }
+            assert_eq!(
+                outcomes.into_iter().collect::<Vec<_>>(),
+                expected,
+                "{:?}",
+                config.visibility
+            );
+            assert!(wakes.condvar > 0, "no schedule woke the condvar waiter");
+            assert!(wakes.barrier > 0, "no schedule released the barrier");
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ impl PendingOp {
 }
 
 /// The state presented to a scheduler at a scheduling point.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SchedulingPoint {
     /// Threads that can take a step, in thread-id order.
     pub enabled: Vec<ThreadId>,

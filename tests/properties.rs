@@ -9,7 +9,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sct::prelude::*;
-use sct::runtime::Execution;
+use sct::runtime::{Execution, SchedulingPoint};
 use sct_runtime::NoopObserver;
 
 const CASES: u64 = 48;
@@ -278,5 +278,49 @@ fn race_detector_ignores_disjoint_accesses() {
             },
         );
         assert!(report.is_race_free(), "{n_threads} threads: {report:?}");
+    }
+}
+
+/// The point `Execution::run` refills in place at every step equals the one
+/// the public `scheduling_point(&enabled_threads())` wrapper builds from a
+/// second execution stepped by hand to the same state, and a reused,
+/// `reset` execution reproduces a fresh one exactly: for every SCTBench
+/// program, under both visibility modes, over seeded random schedules.
+#[test]
+fn reused_point_buffer_matches_a_fresh_point_at_every_step() {
+    const SCHEDULES: u64 = 20;
+    for spec in sct::bench::all_benchmarks() {
+        let program = spec.program();
+        for config in [ExecConfig::all_visible(), ExecConfig::sync_only()] {
+            let mut reused = Execution::new_shared(&program, &config);
+            let mut mirror = Execution::new_shared(&program, &config);
+            for schedule in 0..SCHEDULES {
+                let context = format!("{} {:?} schedule {schedule}", spec.name, config.visibility);
+                reused.reset();
+                mirror.reset();
+                mirror.start(&mut NoopObserver);
+                let mut rng = SmallRng::seed_from_u64(spec.id as u64 * SCHEDULES + schedule);
+                let mut choices = Vec::new();
+                let outcome = reused.run(
+                    &mut |point: &SchedulingPoint| {
+                        let fresh = mirror.scheduling_point(&mirror.enabled_threads());
+                        assert_eq!(*point, fresh, "{context}: step {}", choices.len());
+                        let choice = point.enabled[rng.gen_range(0..point.enabled.len())];
+                        mirror.step(choice, &mut NoopObserver);
+                        choices.push(choice);
+                        choice
+                    },
+                    &mut NoopObserver,
+                );
+                assert_eq!(outcome.fingerprint, mirror.fingerprint(), "{context}");
+
+                let mut replay = choices.iter().copied();
+                let fresh = Execution::new_shared(&program, &config)
+                    .run(&mut |_| replay.next().unwrap(), &mut NoopObserver);
+                assert_eq!(outcome.steps, fresh.steps, "{context}");
+                assert_eq!(outcome.fingerprint, fresh.fingerprint, "{context}");
+                assert_eq!(outcome.bug, fresh.bug, "{context}");
+            }
+        }
     }
 }
