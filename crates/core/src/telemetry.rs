@@ -11,7 +11,7 @@
 //! Recorders implement [`Recorder`] and receive every event:
 //!
 //! * [`JsonlRecorder`] serializes events as line-delimited JSON
-//!   (`--trace <path>` on both CLIs). The schema is validated by
+//!   (`--trace <path>` on both CLIs). Lines are checked by
 //!   [`validate_trace_line`], which is self-contained (no external JSON
 //!   tooling) and is what `sct-table validate-trace` and CI run.
 //! * [`Heartbeat`] prints a rate-limited (≥1s) progress line to stderr
@@ -24,10 +24,18 @@
 //! reads telemetry state, so tracing on vs off cannot change a single
 //! statistic or digest.
 //!
+//! The schema is the single event table in this module: each event kind is
+//! declared once there, with its `"type"` string and its ordered, typed
+//! fields, and the enum, the writer, the validator's field sets and the
+//! test specimens are all generated from it. The validator accepts only the
+//! flat trace grammar the writer produces — one object whose values are
+//! strings, unsigned integer literals, `true`/`false` or arrays of unsigned
+//! integer literals — so any other JSON, however deeply nested, is rejected.
+//!
 //! [`ExploreLimits`]: crate::explore::ExploreLimits
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -35,13 +43,68 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// One telemetry event. Serialized to JSON with a `"type"` discriminator
-/// equal to [`Event::kind`]; see the README "Observability" section for the
-/// full schema.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Event {
+/// Declares every telemetry event once. Each entry names the variant, its
+/// `"type"` discriminator and its ordered, typed fields; from that one
+/// table this generates the [`Event`] enum, [`Event::kind`],
+/// [`Event::to_json`] (fields serialized in declaration order),
+/// [`Event::specimens`] and the per-kind field schema behind
+/// [`validate_trace_line`]. A field's type picks its JSON writer, schema
+/// type and specimen value through the [`Field`] trait.
+macro_rules! events {
+    ($(
+        $(#[$vmeta:meta])*
+        $variant:ident = $kind:literal {
+            $( $(#[$fmeta:meta])* $field:ident: $ty:ty, )*
+        }
+    )*) => {
+        /// One telemetry event. Serialized to JSON with a `"type"`
+        /// discriminator equal to [`Event::kind`]; see the README
+        /// "Observability" section for the full schema.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub enum Event {
+            $( $(#[$vmeta])* $variant { $( $(#[$fmeta])* $field: $ty, )* }, )*
+        }
+
+        impl Event {
+            /// The `"type"` discriminator used in the JSON serialization.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $( Event::$variant { .. } => $kind, )*
+                }
+            }
+
+            /// Serialize as one line of JSON (no trailing newline).
+            pub fn to_json(&self) -> String {
+                let mut out = format!("{{\"type\":\"{}\"", self.kind());
+                match self {
+                    $( Event::$variant { $($field),* } => {
+                        $( write_field(&mut out, stringify!($field), $field); )*
+                    } )*
+                }
+                out.push('}');
+                out
+            }
+
+            /// One specimen of every kind, in declaration order, each field
+            /// holding its type's specimen value.
+            pub fn specimens() -> Vec<Event> {
+                vec![ $( Event::$variant { $( $field: Field::specimen(), )* }, )* ]
+            }
+        }
+
+        /// The fields (beyond `"type"`) of every event kind, in order.
+        fn event_schema(kind: &str) -> Option<&'static [(&'static str, FieldType)]> {
+            match kind {
+                $( $kind => Some(&[ $( (stringify!($field), <$ty as Field>::TYPE), )* ]), )*
+                _ => None,
+            }
+        }
+    };
+}
+
+events! {
     /// A study (one run of the harness pipeline) began.
-    StudyStart {
+    StudyStart = "study_start" {
         /// Number of benchmarks selected by the filter.
         benchmarks: u64,
         /// Number of techniques per benchmark.
@@ -52,29 +115,29 @@ pub enum Event {
         workers: u64,
         /// Within-technique steal worker count.
         steal_workers: u64,
-    },
+    }
     /// The study finished.
-    StudyFinish {
+    StudyFinish = "study_finish" {
         /// Number of benchmarks explored.
         benchmarks: u64,
         /// Total wall-clock time.
         wall_nanos: u64,
-    },
+    }
     /// One benchmark's pipeline (race phase + every technique) began.
-    BenchmarkStart {
+    BenchmarkStart = "benchmark_start" {
         /// Registry name, e.g. `CS.reorder_3`.
         benchmark: String,
-    },
+    }
     /// The benchmark's pipeline finished.
-    BenchmarkFinish {
+    BenchmarkFinish = "benchmark_finish" {
         /// Registry name.
         benchmark: String,
         /// Wall-clock time for the whole benchmark.
         wall_nanos: u64,
-    },
+    }
     /// Phase 1 finished: the dynamic race-detection runs (or the static
     /// analysis standing in for them under `--static-phase`).
-    RacePhase {
+    RacePhase = "race_phase" {
         /// Registry name.
         benchmark: String,
         /// Number of race-detection executions (0 under `--static-phase`).
@@ -87,16 +150,16 @@ pub enum Event {
         static_phase: bool,
         /// Wall-clock time of the phase.
         wall_nanos: u64,
-    },
+    }
     /// One technique is about to explore one benchmark.
-    TechniqueStart {
+    TechniqueStart = "technique_start" {
         /// Registry name.
         benchmark: String,
         /// Technique label ("IPB", "IDB", "DFS", ...).
         technique: String,
-    },
+    }
     /// The technique finished.
-    TechniqueFinish {
+    TechniqueFinish = "technique_finish" {
         /// Registry name.
         benchmark: String,
         /// Technique label.
@@ -111,10 +174,10 @@ pub enum Event {
         found_bug: bool,
         /// Wall-clock exploration time.
         wall_nanos: u64,
-    },
+    }
     /// Iterative bounding finished one bound level; counters are deltas
     /// relative to the previous level.
-    BoundLevel {
+    BoundLevel = "bound_level" {
         /// Program name.
         program: String,
         /// Technique label.
@@ -129,10 +192,10 @@ pub enum Event {
         cache_hits: u64,
         /// Schedules whose cost equals this bound ("new schedules").
         new_at_bound: u64,
-    },
+    }
     /// Throttled liveness beacon from a long-running driver (at most one per
     /// progress interval, default 1s). Counters are absolute so far.
-    Progress {
+    Progress = "progress" {
         /// Program name.
         program: String,
         /// Technique label.
@@ -143,9 +206,9 @@ pub enum Event {
         executions: u64,
         /// Cache hits so far.
         cache_hits: u64,
-    },
+    }
     /// A work-stealing victim donated its shallowest unexplored subtree.
-    StealDonate {
+    StealDonate = "steal_donate" {
         /// Program name.
         program: String,
         /// Donating worker index.
@@ -154,27 +217,27 @@ pub enum Event {
         task: u64,
         /// Decision depth of the donated prefix.
         depth: u64,
-    },
+    }
     /// A work-stealing thief claimed a donated subtree.
-    StealTheft {
+    StealTheft = "steal_theft" {
         /// Program name.
         program: String,
         /// Claiming worker index.
         worker: u64,
         /// Task id of the claimed subtree.
         task: u64,
-    },
+    }
     /// A steal worker went idle (waiting for work) or became busy again.
-    WorkerIdle {
+    WorkerIdle = "worker_idle" {
         /// Program name.
         program: String,
         /// Worker index.
         worker: u64,
         /// `true` on entering the idle wait, `false` on leaving it.
         idle: bool,
-    },
+    }
     /// Per-technique schedule-cache summary (emitted when caching is on).
-    CacheSummary {
+    CacheSummary = "cache_summary" {
         /// Program name.
         program: String,
         /// Technique label.
@@ -185,10 +248,10 @@ pub enum Event {
         bytes: u64,
         /// Whether the byte cap was reached.
         full: bool,
-    },
+    }
     /// The schedule cache hit its byte cap and degraded to pass-through
     /// (emitted at most once per technique).
-    CacheDegraded {
+    CacheDegraded = "cache_degraded" {
         /// Program name.
         program: String,
         /// Technique label.
@@ -197,27 +260,27 @@ pub enum Event {
         bytes: u64,
         /// The configured cap.
         max_bytes: u64,
-    },
+    }
     /// A persisted corpus trie was loaded for this benchmark (`--resume`).
-    CorpusLoaded {
+    CorpusLoaded = "corpus_loaded" {
         /// Registry name.
         benchmark: String,
         /// Bytes of the loaded trie.
         bytes: u64,
         /// Buggy schedules already recorded in it.
         buggy_schedules: u64,
-    },
+    }
     /// The corpus trie and bug corpus were saved (`--corpus-dir`).
-    CorpusSaved {
+    CorpusSaved = "corpus_saved" {
         /// Registry name.
         benchmark: String,
         /// Bytes of the saved trie.
         bytes: u64,
         /// Bug records in the saved bug corpus.
         bugs: u64,
-    },
+    }
     /// A corpus bug prefix was replayed (`sct-table replay`).
-    CorpusReplay {
+    CorpusReplay = "corpus_replay" {
         /// Registry name.
         benchmark: String,
         /// Display form of the expected bug.
@@ -226,9 +289,9 @@ pub enum Event {
         decisions: u64,
         /// Whether one execution reproduced the recorded bug.
         reproduced: bool,
-    },
+    }
     /// A driver found its first bug.
-    BugFound {
+    BugFound = "bug_found" {
         /// Program name.
         program: String,
         /// Technique label.
@@ -237,10 +300,10 @@ pub enum Event {
         bug: String,
         /// 1-based index of the first buggy schedule.
         schedule: u64,
-    },
+    }
     /// A harvested bug was recorded into the corpus with its minimized
     /// decision prefix.
-    BugRecorded {
+    BugRecorded = "bug_recorded" {
         /// Registry name.
         benchmark: String,
         /// Display form of the bug.
@@ -249,10 +312,10 @@ pub enum Event {
         decisions: u64,
         /// The minimized decision prefix (thread ids).
         prefix: Vec<u64>,
-    },
+    }
     /// A technique stopped at its wall-clock deadline with partial results
     /// (`--time-budget` / `--benchmark-deadline`).
-    DeadlineExceeded {
+    DeadlineExceeded = "deadline_exceeded" {
         /// Registry name.
         benchmark: String,
         /// Technique label.
@@ -261,428 +324,25 @@ pub enum Event {
         schedules: u64,
         /// The wall-clock budget that expired, in nanoseconds.
         budget_nanos: u64,
-    },
+    }
     /// An engine panicked inside a benchmark×technique unit; the harness
     /// isolated the panic and the study continued.
-    EnginePanic {
+    EnginePanic = "engine_panic" {
         /// Registry name.
         benchmark: String,
         /// Technique label.
         technique: String,
         /// Display form of the panic payload.
         panic: String,
-    },
+    }
     /// A mid-run corpus checkpoint was written (crash-safe autosave).
-    CheckpointSaved {
+    CheckpointSaved = "checkpoint_saved" {
         /// Registry name.
         benchmark: String,
         /// Bytes of the checkpointed trie.
         bytes: u64,
         /// Schedules explored when the checkpoint was taken.
         schedules: u64,
-    },
-}
-
-impl Event {
-    /// The `"type"` discriminator used in the JSON serialization.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::StudyStart { .. } => "study_start",
-            Event::StudyFinish { .. } => "study_finish",
-            Event::BenchmarkStart { .. } => "benchmark_start",
-            Event::BenchmarkFinish { .. } => "benchmark_finish",
-            Event::RacePhase { .. } => "race_phase",
-            Event::TechniqueStart { .. } => "technique_start",
-            Event::TechniqueFinish { .. } => "technique_finish",
-            Event::BoundLevel { .. } => "bound_level",
-            Event::Progress { .. } => "progress",
-            Event::StealDonate { .. } => "steal_donate",
-            Event::StealTheft { .. } => "steal_theft",
-            Event::WorkerIdle { .. } => "worker_idle",
-            Event::CacheSummary { .. } => "cache_summary",
-            Event::CacheDegraded { .. } => "cache_degraded",
-            Event::CorpusLoaded { .. } => "corpus_loaded",
-            Event::CorpusSaved { .. } => "corpus_saved",
-            Event::CorpusReplay { .. } => "corpus_replay",
-            Event::BugFound { .. } => "bug_found",
-            Event::BugRecorded { .. } => "bug_recorded",
-            Event::DeadlineExceeded { .. } => "deadline_exceeded",
-            Event::EnginePanic { .. } => "engine_panic",
-            Event::CheckpointSaved { .. } => "checkpoint_saved",
-        }
-    }
-
-    /// Serialize as one line of JSON (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let w = JsonObject::new(self.kind());
-        match self {
-            Event::StudyStart {
-                benchmarks,
-                techniques,
-                schedule_limit,
-                workers,
-                steal_workers,
-            } => w
-                .u64("benchmarks", *benchmarks)
-                .u64("techniques", *techniques)
-                .u64("schedule_limit", *schedule_limit)
-                .u64("workers", *workers)
-                .u64("steal_workers", *steal_workers)
-                .finish(),
-            Event::StudyFinish {
-                benchmarks,
-                wall_nanos,
-            } => w
-                .u64("benchmarks", *benchmarks)
-                .u64("wall_nanos", *wall_nanos)
-                .finish(),
-            Event::BenchmarkStart { benchmark } => w.str("benchmark", benchmark).finish(),
-            Event::BenchmarkFinish {
-                benchmark,
-                wall_nanos,
-            } => w
-                .str("benchmark", benchmark)
-                .u64("wall_nanos", *wall_nanos)
-                .finish(),
-            Event::RacePhase {
-                benchmark,
-                runs,
-                races,
-                racy_locations,
-                static_phase,
-                wall_nanos,
-            } => w
-                .str("benchmark", benchmark)
-                .u64("runs", *runs)
-                .u64("races", *races)
-                .u64("racy_locations", *racy_locations)
-                .bool("static_phase", *static_phase)
-                .u64("wall_nanos", *wall_nanos)
-                .finish(),
-            Event::TechniqueStart {
-                benchmark,
-                technique,
-            } => w
-                .str("benchmark", benchmark)
-                .str("technique", technique)
-                .finish(),
-            Event::TechniqueFinish {
-                benchmark,
-                technique,
-                schedules,
-                executions,
-                cache_hits,
-                found_bug,
-                wall_nanos,
-            } => w
-                .str("benchmark", benchmark)
-                .str("technique", technique)
-                .u64("schedules", *schedules)
-                .u64("executions", *executions)
-                .u64("cache_hits", *cache_hits)
-                .bool("found_bug", *found_bug)
-                .u64("wall_nanos", *wall_nanos)
-                .finish(),
-            Event::BoundLevel {
-                program,
-                technique,
-                bound,
-                schedules,
-                executions,
-                cache_hits,
-                new_at_bound,
-            } => w
-                .str("program", program)
-                .str("technique", technique)
-                .u64("bound", *bound)
-                .u64("schedules", *schedules)
-                .u64("executions", *executions)
-                .u64("cache_hits", *cache_hits)
-                .u64("new_at_bound", *new_at_bound)
-                .finish(),
-            Event::Progress {
-                program,
-                technique,
-                schedules,
-                executions,
-                cache_hits,
-            } => w
-                .str("program", program)
-                .str("technique", technique)
-                .u64("schedules", *schedules)
-                .u64("executions", *executions)
-                .u64("cache_hits", *cache_hits)
-                .finish(),
-            Event::StealDonate {
-                program,
-                worker,
-                task,
-                depth,
-            } => w
-                .str("program", program)
-                .u64("worker", *worker)
-                .u64("task", *task)
-                .u64("depth", *depth)
-                .finish(),
-            Event::StealTheft {
-                program,
-                worker,
-                task,
-            } => w
-                .str("program", program)
-                .u64("worker", *worker)
-                .u64("task", *task)
-                .finish(),
-            Event::WorkerIdle {
-                program,
-                worker,
-                idle,
-            } => w
-                .str("program", program)
-                .u64("worker", *worker)
-                .bool("idle", *idle)
-                .finish(),
-            Event::CacheSummary {
-                program,
-                technique,
-                hits,
-                bytes,
-                full,
-            } => w
-                .str("program", program)
-                .str("technique", technique)
-                .u64("hits", *hits)
-                .u64("bytes", *bytes)
-                .bool("full", *full)
-                .finish(),
-            Event::CacheDegraded {
-                program,
-                technique,
-                bytes,
-                max_bytes,
-            } => w
-                .str("program", program)
-                .str("technique", technique)
-                .u64("bytes", *bytes)
-                .u64("max_bytes", *max_bytes)
-                .finish(),
-            Event::CorpusLoaded {
-                benchmark,
-                bytes,
-                buggy_schedules,
-            } => w
-                .str("benchmark", benchmark)
-                .u64("bytes", *bytes)
-                .u64("buggy_schedules", *buggy_schedules)
-                .finish(),
-            Event::CorpusSaved {
-                benchmark,
-                bytes,
-                bugs,
-            } => w
-                .str("benchmark", benchmark)
-                .u64("bytes", *bytes)
-                .u64("bugs", *bugs)
-                .finish(),
-            Event::CorpusReplay {
-                benchmark,
-                bug,
-                decisions,
-                reproduced,
-            } => w
-                .str("benchmark", benchmark)
-                .str("bug", bug)
-                .u64("decisions", *decisions)
-                .bool("reproduced", *reproduced)
-                .finish(),
-            Event::BugFound {
-                program,
-                technique,
-                bug,
-                schedule,
-            } => w
-                .str("program", program)
-                .str("technique", technique)
-                .str("bug", bug)
-                .u64("schedule", *schedule)
-                .finish(),
-            Event::BugRecorded {
-                benchmark,
-                bug,
-                decisions,
-                prefix,
-            } => w
-                .str("benchmark", benchmark)
-                .str("bug", bug)
-                .u64("decisions", *decisions)
-                .u64_array("prefix", prefix)
-                .finish(),
-            Event::DeadlineExceeded {
-                benchmark,
-                technique,
-                schedules,
-                budget_nanos,
-            } => w
-                .str("benchmark", benchmark)
-                .str("technique", technique)
-                .u64("schedules", *schedules)
-                .u64("budget_nanos", *budget_nanos)
-                .finish(),
-            Event::EnginePanic {
-                benchmark,
-                technique,
-                panic,
-            } => w
-                .str("benchmark", benchmark)
-                .str("technique", technique)
-                .str("panic", panic)
-                .finish(),
-            Event::CheckpointSaved {
-                benchmark,
-                bytes,
-                schedules,
-            } => w
-                .str("benchmark", benchmark)
-                .u64("bytes", *bytes)
-                .u64("schedules", *schedules)
-                .finish(),
-        }
-    }
-
-    /// One specimen of every variant, used to keep the serializer and the
-    /// [`validate_trace_line`] schema in lockstep (see the unit tests and
-    /// the integration suite).
-    pub fn specimens() -> Vec<Event> {
-        vec![
-            Event::StudyStart {
-                benchmarks: 3,
-                techniques: 6,
-                schedule_limit: 10_000,
-                workers: 1,
-                steal_workers: 2,
-            },
-            Event::StudyFinish {
-                benchmarks: 3,
-                wall_nanos: 42,
-            },
-            Event::BenchmarkStart {
-                benchmark: "CS.reorder_3".into(),
-            },
-            Event::BenchmarkFinish {
-                benchmark: "CS.reorder_3".into(),
-                wall_nanos: 42,
-            },
-            Event::RacePhase {
-                benchmark: "CS.reorder_3".into(),
-                runs: 10,
-                races: 2,
-                racy_locations: 4,
-                static_phase: false,
-                wall_nanos: 42,
-            },
-            Event::TechniqueStart {
-                benchmark: "CS.reorder_3".into(),
-                technique: "IDB".into(),
-            },
-            Event::TechniqueFinish {
-                benchmark: "CS.reorder_3".into(),
-                technique: "IDB".into(),
-                schedules: 100,
-                executions: 90,
-                cache_hits: 10,
-                found_bug: true,
-                wall_nanos: 42,
-            },
-            Event::BoundLevel {
-                program: "reorder_3".into(),
-                technique: "IDB".into(),
-                bound: 1,
-                schedules: 10,
-                executions: 9,
-                cache_hits: 1,
-                new_at_bound: 7,
-            },
-            Event::Progress {
-                program: "reorder_3".into(),
-                technique: "DFS".into(),
-                schedules: 50,
-                executions: 50,
-                cache_hits: 0,
-            },
-            Event::StealDonate {
-                program: "reorder_3".into(),
-                worker: 0,
-                task: 3,
-                depth: 2,
-            },
-            Event::StealTheft {
-                program: "reorder_3".into(),
-                worker: 1,
-                task: 3,
-            },
-            Event::WorkerIdle {
-                program: "reorder_3".into(),
-                worker: 1,
-                idle: true,
-            },
-            Event::CacheSummary {
-                program: "reorder_3".into(),
-                technique: "IDB".into(),
-                hits: 10,
-                bytes: 4096,
-                full: false,
-            },
-            Event::CacheDegraded {
-                program: "reorder_3".into(),
-                technique: "IDB".into(),
-                bytes: 4096,
-                max_bytes: 4096,
-            },
-            Event::CorpusLoaded {
-                benchmark: "CS.reorder_3".into(),
-                bytes: 4096,
-                buggy_schedules: 2,
-            },
-            Event::CorpusSaved {
-                benchmark: "CS.reorder_3".into(),
-                bytes: 4096,
-                bugs: 1,
-            },
-            Event::CorpusReplay {
-                benchmark: "CS.reorder_3".into(),
-                bug: "assertion failure".into(),
-                decisions: 5,
-                reproduced: true,
-            },
-            Event::BugFound {
-                program: "reorder_3".into(),
-                technique: "IDB".into(),
-                bug: "assertion failure: \"ok\"".into(),
-                schedule: 12,
-            },
-            Event::BugRecorded {
-                benchmark: "CS.reorder_3".into(),
-                bug: "assertion failure".into(),
-                decisions: 3,
-                prefix: vec![0, 1, 0],
-            },
-            Event::DeadlineExceeded {
-                benchmark: "CS.reorder_3".into(),
-                technique: "IDB".into(),
-                schedules: 57,
-                budget_nanos: 1_000_000_000,
-            },
-            Event::EnginePanic {
-                benchmark: "CS.reorder_3".into(),
-                technique: "IDB".into(),
-                panic: "injected fault (sct_core::fault)".into(),
-            },
-            Event::CheckpointSaved {
-                benchmark: "CS.reorder_3".into(),
-                bytes: 4096,
-                schedules: 57,
-            },
-        ]
     }
 }
 
@@ -1070,81 +730,121 @@ pub fn json_string(s: &str) -> String {
     out
 }
 
-/// Tiny builder for one-line JSON objects with ordered fields.
-struct JsonObject {
-    buf: String,
+/// The schema type of an event field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FieldType {
+    Str,
+    U64,
+    Bool,
+    U64Array,
 }
 
-impl JsonObject {
-    fn new(kind: &str) -> JsonObject {
-        JsonObject {
-            buf: format!("{{\"type\":{}", json_string(kind)),
+impl FieldType {
+    fn name(self) -> &'static str {
+        match self {
+            FieldType::Str => "string",
+            FieldType::U64 => "unsigned integer",
+            FieldType::Bool => "bool",
+            FieldType::U64Array => "array of unsigned integers",
         }
     }
+}
 
-    fn str(mut self, key: &str, value: &str) -> JsonObject {
-        self.buf
-            .push_str(&format!(",{}:{}", json_string(key), json_string(value)));
-        self
+/// A Rust type an event field may have: its schema type, its JSON writer
+/// and the value it takes in [`Event::specimens`].
+trait Field {
+    const TYPE: FieldType;
+    fn write_json(&self, out: &mut String);
+    fn specimen() -> Self;
+}
+
+impl Field for u64 {
+    const TYPE: FieldType = FieldType::U64;
+    fn write_json(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
     }
-
-    fn u64(mut self, key: &str, value: u64) -> JsonObject {
-        self.buf
-            .push_str(&format!(",{}:{}", json_string(key), value));
-        self
+    fn specimen() -> u64 {
+        7
     }
+}
 
-    fn bool(mut self, key: &str, value: bool) -> JsonObject {
-        self.buf
-            .push_str(&format!(",{}:{}", json_string(key), value));
-        self
+impl Field for bool {
+    const TYPE: FieldType = FieldType::Bool;
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
     }
+    fn specimen() -> bool {
+        true
+    }
+}
 
-    fn u64_array(mut self, key: &str, values: &[u64]) -> JsonObject {
-        self.buf.push_str(&format!(",{}:[", json_string(key)));
-        for (i, v) in values.iter().enumerate() {
+impl Field for String {
+    const TYPE: FieldType = FieldType::Str;
+    fn write_json(&self, out: &mut String) {
+        out.push_str(&json_string(self));
+    }
+    fn specimen() -> String {
+        "assertion failure: \"ok\"".into()
+    }
+}
+
+impl Field for Vec<u64> {
+    const TYPE: FieldType = FieldType::U64Array;
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, v) in self.iter().enumerate() {
             if i > 0 {
-                self.buf.push(',');
+                out.push(',');
             }
-            self.buf.push_str(&v.to_string());
+            v.write_json(out);
         }
-        self.buf.push(']');
-        self
+        out.push(']');
     }
+    fn specimen() -> Vec<u64> {
+        vec![0, 1, 0]
+    }
+}
 
-    fn finish(mut self) -> String {
-        self.buf.push('}');
-        self.buf
-    }
+/// Append `,"name":value` to a JSON object under construction.
+fn write_field<T: Field>(out: &mut String, name: &str, value: &T) {
+    out.push_str(",\"");
+    out.push_str(name);
+    out.push_str("\":");
+    value.write_json(out);
 }
 
 // ---------------------------------------------------------------------------
 // Schema validation (self-contained: no external JSON tooling)
 // ---------------------------------------------------------------------------
 
-/// A parsed JSON value, produced by the self-contained parser behind
-/// [`validate_trace_line`].
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
+/// A parsed field value: the string itself (validation reads the `"type"`
+/// string), or the type of any other value.
+enum Value {
     Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
+    Other(FieldType),
 }
 
+impl Value {
+    fn ty(&self) -> FieldType {
+        match self {
+            Value::Str(_) => FieldType::Str,
+            Value::Other(ty) => *ty,
+        }
+    }
+}
+
+/// A parser for the flat trace grammar, exactly what [`Event::to_json`]
+/// writes: one object whose values are strings, unsigned integer literals,
+/// `true`/`false`, or arrays of unsigned integer literals. Nothing nests
+/// deeper, so the parser never recurses: input of any depth is an `Err`.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
+    fn new(src: &'a str) -> Parser<'a> {
+        Parser { src, pos: 0 }
     }
 
     fn err(&self, msg: &str) -> String {
@@ -1152,17 +852,13 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
+            self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -1174,76 +870,99 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    /// The items of a list whose opening bracket was just consumed, up to
+    /// and including its `close` bracket: `item` parses each one.
+    fn list(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
         self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            item(self)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(c) if c == close => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                _ => return Err(self.err(&format!("expected ',' or '{}'", close as char))),
+            }
+        }
+    }
+
+    /// The whole line: one object, optionally surrounded by whitespace.
+    fn line(&mut self) -> Result<Vec<(String, Value)>, String> {
+        self.skip_ws();
+        if self.peek() != Some(b'{') {
+            return Err(self.err("trace line is not a JSON object"));
+        }
+        self.pos += 1;
+        let mut fields = Vec::new();
+        self.list(b'}', |p| {
+            let key = p.string()?;
+            p.skip_ws();
+            p.expect(b':')?;
+            p.skip_ws();
+            fields.push((key, p.value()?));
+            Ok(())
+        })?;
+        self.skip_ws();
+        if self.pos != self.src.len() {
+            return Err(self.err("trailing garbage after JSON object"));
+        }
+        Ok(fields)
+    }
+
+    fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            Some(b'"') => Ok(Value::Str(self.string()?)),
+            Some(b't') => self.literal("true"),
+            Some(b'f') => self.literal("false"),
+            Some(b'[') => {
+                self.pos += 1;
+                self.list(b']', Self::u64)?;
+                Ok(Value::Other(FieldType::U64Array))
+            }
+            Some(b'0'..=b'9') => {
+                self.u64()?;
+                Ok(Value::Other(FieldType::U64))
+            }
             Some(c) => Err(self.err(&format!("unexpected byte '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+    fn literal(&mut self, lit: &str) -> Result<Value, String> {
+        if self.src[self.pos..].starts_with(lit) {
             self.pos += lit.len();
-            Ok(v)
+            Ok(Value::Other(FieldType::Bool))
         } else {
             Err(self.err(&format!("expected '{lit}'")))
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
+    /// An unsigned integer literal in `u64` range: `0`, or digits without a
+    /// leading zero. A sign, fraction or exponent is left unconsumed, so the
+    /// caller rejects it as an unexpected byte.
+    fn u64(&mut self) -> Result<(), String> {
+        let start = self.pos;
+        while let Some(b'0'..=b'9') = self.peek() {
             self.pos += 1;
-            return Ok(Json::Obj(fields));
         }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
+        let digits = &self.src[start..self.pos];
+        if digits.is_empty() || (digits.len() > 1 && digits.starts_with('0')) {
+            return Err(self.err("expected an unsigned integer literal"));
         }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
+        match digits.parse::<u64>() {
+            Ok(_) => Ok(()),
+            Err(_) => Err(self.err("integer literal exceeds u64")),
         }
     }
 
@@ -1270,11 +989,9 @@ impl<'a> Parser<'a> {
                         Some(b'f') => out.push('\u{000c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .src
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("non-ascii \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
                             // Surrogates in traces we emit never occur; map
@@ -1287,221 +1004,40 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so this
-                    // char boundary arithmetic is safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().unwrap();
+                    // `pos` only ever advances over whole chars, so it is on
+                    // a char boundary of `src`.
+                    let c = self.src[self.pos..].chars().next().unwrap();
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
             }
         }
     }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("bad number"))
-    }
-}
-
-/// Parse one JSON document, requiring it to span the whole input.
-fn parse_json(line: &str) -> Result<Json, String> {
-    let mut p = Parser::new(line);
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing garbage after JSON value"));
-    }
-    Ok(v)
-}
-
-/// Expected type of a schema field.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum FieldType {
-    Str,
-    U64,
-    Bool,
-    U64Array,
-}
-
-impl FieldType {
-    fn matches(self, v: &Json) -> bool {
-        match (self, v) {
-            (FieldType::Str, Json::Str(_)) => true,
-            (FieldType::Bool, Json::Bool(_)) => true,
-            (FieldType::U64, Json::Num(n)) => n.fract() == 0.0 && *n >= 0.0,
-            (FieldType::U64Array, Json::Arr(items)) => {
-                items.iter().all(|i| FieldType::U64.matches(i))
-            }
-            _ => false,
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            FieldType::Str => "string",
-            FieldType::U64 => "unsigned integer",
-            FieldType::Bool => "bool",
-            FieldType::U64Array => "array of unsigned integers",
-        }
-    }
-}
-
-/// The required fields (beyond `"type"`) of every event kind.
-fn event_schema(kind: &str) -> Option<&'static [(&'static str, FieldType)]> {
-    use FieldType::{Bool, Str, U64Array, U64};
-    Some(match kind {
-        "study_start" => &[
-            ("benchmarks", U64),
-            ("techniques", U64),
-            ("schedule_limit", U64),
-            ("workers", U64),
-            ("steal_workers", U64),
-        ],
-        "study_finish" => &[("benchmarks", U64), ("wall_nanos", U64)],
-        "benchmark_start" => &[("benchmark", Str)],
-        "benchmark_finish" => &[("benchmark", Str), ("wall_nanos", U64)],
-        "race_phase" => &[
-            ("benchmark", Str),
-            ("runs", U64),
-            ("races", U64),
-            ("racy_locations", U64),
-            ("static_phase", Bool),
-            ("wall_nanos", U64),
-        ],
-        "technique_start" => &[("benchmark", Str), ("technique", Str)],
-        "technique_finish" => &[
-            ("benchmark", Str),
-            ("technique", Str),
-            ("schedules", U64),
-            ("executions", U64),
-            ("cache_hits", U64),
-            ("found_bug", Bool),
-            ("wall_nanos", U64),
-        ],
-        "bound_level" => &[
-            ("program", Str),
-            ("technique", Str),
-            ("bound", U64),
-            ("schedules", U64),
-            ("executions", U64),
-            ("cache_hits", U64),
-            ("new_at_bound", U64),
-        ],
-        "progress" => &[
-            ("program", Str),
-            ("technique", Str),
-            ("schedules", U64),
-            ("executions", U64),
-            ("cache_hits", U64),
-        ],
-        "steal_donate" => &[
-            ("program", Str),
-            ("worker", U64),
-            ("task", U64),
-            ("depth", U64),
-        ],
-        "steal_theft" => &[("program", Str), ("worker", U64), ("task", U64)],
-        "worker_idle" => &[("program", Str), ("worker", U64), ("idle", Bool)],
-        "cache_summary" => &[
-            ("program", Str),
-            ("technique", Str),
-            ("hits", U64),
-            ("bytes", U64),
-            ("full", Bool),
-        ],
-        "cache_degraded" => &[
-            ("program", Str),
-            ("technique", Str),
-            ("bytes", U64),
-            ("max_bytes", U64),
-        ],
-        "corpus_loaded" => &[("benchmark", Str), ("bytes", U64), ("buggy_schedules", U64)],
-        "corpus_saved" => &[("benchmark", Str), ("bytes", U64), ("bugs", U64)],
-        "corpus_replay" => &[
-            ("benchmark", Str),
-            ("bug", Str),
-            ("decisions", U64),
-            ("reproduced", Bool),
-        ],
-        "bug_found" => &[
-            ("program", Str),
-            ("technique", Str),
-            ("bug", Str),
-            ("schedule", U64),
-        ],
-        "bug_recorded" => &[
-            ("benchmark", Str),
-            ("bug", Str),
-            ("decisions", U64),
-            ("prefix", U64Array),
-        ],
-        "deadline_exceeded" => &[
-            ("benchmark", Str),
-            ("technique", Str),
-            ("schedules", U64),
-            ("budget_nanos", U64),
-        ],
-        "engine_panic" => &[("benchmark", Str), ("technique", Str), ("panic", Str)],
-        "checkpoint_saved" => &[("benchmark", Str), ("bytes", U64), ("schedules", U64)],
-        _ => return None,
-    })
 }
 
 /// Validate one line of a `--trace` JSONL file against the event schema:
-/// well-formed JSON, a known `"type"`, every required field present with the
-/// right type, and no unknown fields. Self-contained — the CI trace check
-/// runs exactly this, no `jq` involved.
+/// a line of the flat trace grammar (see [`Event::to_json`]), a known
+/// `"type"`, every field of that kind present with the right type, and no
+/// unknown or duplicate fields. Self-contained — the CI trace check runs
+/// exactly this, no `jq` involved.
 pub fn validate_trace_line(line: &str) -> Result<(), String> {
-    let value = parse_json(line)?;
-    let Json::Obj(fields) = value else {
-        return Err("trace line is not a JSON object".into());
-    };
+    let fields = Parser::new(line).line()?;
     let mut seen = BTreeSet::new();
     for (key, _) in &fields {
         if !seen.insert(key.as_str()) {
             return Err(format!("duplicate field {key:?}"));
         }
     }
-    let Some(Json::Str(kind)) = fields
-        .iter()
-        .find(|(k, _)| k == "type")
-        .map(|(_, v)| v.clone())
-    else {
+    let Some((_, Value::Str(kind))) = fields.iter().find(|(k, _)| k == "type") else {
         return Err("missing string field \"type\"".into());
     };
-    let Some(schema) = event_schema(&kind) else {
+    let Some(schema) = event_schema(kind) else {
         return Err(format!("unknown event type {kind:?}"));
     };
     for (name, ty) in schema {
         match fields.iter().find(|(k, _)| k == name) {
             None => return Err(format!("{kind}: missing field {name:?}")),
-            Some((_, v)) if !ty.matches(v) => {
+            Some((_, v)) if v.ty() != *ty => {
                 return Err(format!("{kind}: field {name:?} is not a {}", ty.name()));
             }
             Some(_) => {}
@@ -1533,22 +1069,125 @@ mod tests {
     }
 
     #[test]
-    fn specimens_cover_every_schema_kind() {
-        // If a new Event variant is added with a schema entry but no
-        // specimen (or vice versa), this catches it.
-        let kinds: BTreeSet<&'static str> = Event::specimens().iter().map(|e| e.kind()).collect();
-        assert_eq!(
-            kinds.len(),
-            Event::specimens().len(),
-            "duplicate specimen kinds"
-        );
-        for kind in &kinds {
-            assert!(event_schema(kind).is_some(), "{kind} has no schema");
+    fn every_kind_rejects_missing_mistyped_and_unknown_fields() {
+        // A value of each field type, written as its specimen.
+        let sample = |ty: FieldType| {
+            let mut out = String::new();
+            match ty {
+                FieldType::Str => String::specimen().write_json(&mut out),
+                FieldType::U64 => u64::specimen().write_json(&mut out),
+                FieldType::Bool => bool::specimen().write_json(&mut out),
+                FieldType::U64Array => Vec::<u64>::specimen().write_json(&mut out),
+            }
+            out
+        };
+        let types = [
+            FieldType::Str,
+            FieldType::U64,
+            FieldType::Bool,
+            FieldType::U64Array,
+        ];
+        for event in Event::specimens() {
+            let kind = event.kind();
+            let schema = event_schema(kind).unwrap();
+            // `line` rebuilds the specimen's line with field `i` dropped
+            // (`None`) or holding `value`.
+            let line = |edit: Option<(usize, Option<&str>)>, extra: &str| {
+                let mut out = format!("{{\"type\":\"{kind}\"");
+                for (j, (name, ty)) in schema.iter().enumerate() {
+                    let value = match edit {
+                        Some((i, v)) if i == j => v.map(str::to_string),
+                        _ => Some(sample(*ty)),
+                    };
+                    if let Some(value) = value {
+                        out.push_str(&format!(",\"{name}\":{value}"));
+                    }
+                }
+                out.push_str(extra);
+                out.push('}');
+                out
+            };
+            assert_eq!(line(None, ""), event.to_json(), "specimen of {kind}");
+            let rejects = |l: String, why: String| {
+                assert!(validate_trace_line(&l).is_err(), "{kind}: {why}: {l}");
+            };
+            rejects(line(None, ",\"unknown\":1"), "unknown field".into());
+            for (i, (name, ty)) in schema.iter().enumerate() {
+                rejects(line(Some((i, None)), ""), format!("missing {name}"));
+                for other in types.iter().filter(|other| *other != ty) {
+                    let value = sample(*other);
+                    rejects(
+                        line(Some((i, Some(&value))), ""),
+                        format!("{name} holds a {}", other.name()),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wire_format_is_pinned_byte_for_byte() {
+        // One event per field shape: u64 only; string, u64 and bool; a
+        // string needing escapes; a u64 array, non-empty and empty.
+        let cases = [
+            (
+                Event::StudyStart {
+                    benchmarks: 3,
+                    techniques: 6,
+                    schedule_limit: 10_000,
+                    workers: 1,
+                    steal_workers: 2,
+                },
+                r#"{"type":"study_start","benchmarks":3,"techniques":6,"schedule_limit":10000,"workers":1,"steal_workers":2}"#,
+            ),
+            (
+                Event::RacePhase {
+                    benchmark: "CS.reorder_3".into(),
+                    runs: 10,
+                    races: 2,
+                    racy_locations: 4,
+                    static_phase: true,
+                    wall_nanos: 42,
+                },
+                r#"{"type":"race_phase","benchmark":"CS.reorder_3","runs":10,"races":2,"racy_locations":4,"static_phase":true,"wall_nanos":42}"#,
+            ),
+            (
+                Event::BugFound {
+                    program: "reorder_3".into(),
+                    technique: "IDB".into(),
+                    bug: "assert \"x\\y\" \u{1}".into(),
+                    schedule: 12,
+                },
+                r#"{"type":"bug_found","program":"reorder_3","technique":"IDB","bug":"assert \"x\\y\" \u0001","schedule":12}"#,
+            ),
+            (
+                Event::BugRecorded {
+                    benchmark: "CS.reorder_3".into(),
+                    bug: "deadlock".into(),
+                    decisions: 3,
+                    prefix: vec![0, 1, 0],
+                },
+                r#"{"type":"bug_recorded","benchmark":"CS.reorder_3","bug":"deadlock","decisions":3,"prefix":[0,1,0]}"#,
+            ),
+            (
+                Event::BugRecorded {
+                    benchmark: "CS.reorder_3".into(),
+                    bug: "deadlock".into(),
+                    decisions: 0,
+                    prefix: Vec::new(),
+                },
+                r#"{"type":"bug_recorded","benchmark":"CS.reorder_3","bug":"deadlock","decisions":0,"prefix":[]}"#,
+            ),
+        ];
+        for (event, expected) in cases {
+            assert_eq!(event.to_json(), expected);
+            validate_trace_line(expected).unwrap();
         }
     }
 
     #[test]
     fn validator_rejects_malformed_lines() {
+        let deep = "[".repeat(1_000_000);
         let cases = [
             ("", "empty"),
             ("{", "truncated"),
@@ -1576,13 +1215,44 @@ mod tests {
                 "{\"type\":\"benchmark_start\",\"benchmark\":\"x\",\"benchmark\":\"y\"}",
                 "duplicate field",
             ),
+            (
+                "{\"type\":\"study_finish\",\"benchmarks\":1,\"wall_nanos\":1.0}",
+                "fractional u64",
+            ),
+            (
+                "{\"type\":\"study_finish\",\"benchmarks\":1,\"wall_nanos\":1e3}",
+                "exponent u64",
+            ),
+            (
+                "{\"type\":\"study_finish\",\"benchmarks\":1,\"wall_nanos\":-0}",
+                "negative zero u64",
+            ),
+            (
+                "{\"type\":\"study_finish\",\"benchmarks\":1,\"wall_nanos\":1e30}",
+                "huge exponent u64",
+            ),
+            (
+                "{\"type\":\"study_finish\",\"benchmarks\":1,\"wall_nanos\":18446744073709551616}",
+                "u64 overflow",
+            ),
+            (
+                "{\"type\":\"study_finish\",\"benchmarks\":1,\"wall_nanos\":01}",
+                "leading zero",
+            ),
+            (&deep, "deeply nested"),
         ];
         for (line, why) in cases {
             assert!(
                 validate_trace_line(line).is_err(),
-                "expected rejection ({why}): {line}"
+                "expected rejection ({why}): {}",
+                &line[..line.len().min(80)]
             );
         }
+        // The largest u64 is the last accepted literal.
+        validate_trace_line(
+            "{\"type\":\"study_finish\",\"benchmarks\":1,\"wall_nanos\":18446744073709551615}",
+        )
+        .unwrap();
     }
 
     #[test]
@@ -1597,8 +1267,7 @@ mod tests {
         let escaped = json_string(s);
         assert_eq!(escaped, "\"a\\\"b\\\\c\\nd\\te\\u0001f\"");
         // And the parser inverts the escape.
-        let parsed = parse_json(&escaped).unwrap();
-        assert_eq!(parsed, Json::Str(s.to_string()));
+        assert_eq!(Parser::new(&escaped).string().unwrap(), s);
     }
 
     #[test]

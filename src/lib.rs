@@ -21,7 +21,6 @@
 //! | [`core`] | `sct-core` | schedulers, schedule bounding, exploration drivers, statistics and the telemetry event stream |
 //! | [`mod@bench`] | `sctbench` | the 52 SCTBench benchmarks and their registry |
 //! | [`harness`] | `sct-harness` | the study pipeline, tables and figures |
-//! | [`threads`] | `sct-threads` | a loom-style closure/OS-thread frontend driven by the same schedulers |
 //!
 //! ## Quick start
 //!
@@ -87,11 +86,6 @@ pub mod bench {
 /// The experiment harness: study pipeline, tables and figures (`sct-harness`).
 pub mod harness {
     pub use sct_harness::*;
-}
-
-/// The loom-style closure frontend (`sct-threads`).
-pub mod threads {
-    pub use sct_threads::*;
 }
 
 /// One-stop imports for writing and exploring test programs.

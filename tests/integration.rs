@@ -190,62 +190,6 @@ fn study_pipeline_reproduces_the_headline_shape_on_a_cheap_subset() {
     assert!(t2.contains("Bug found with DB = 0"));
 }
 
-#[test]
-fn loom_style_frontend_agrees_with_the_ir_frontend_on_a_lost_update() {
-    // The same lost-update bug expressed twice: once as an IR program, once
-    // as closures against the mock sync types. Both frontends must find it.
-    let mut p = ProgramBuilder::new("lost-update");
-    let counter = p.global("counter", 0);
-    let t = p.thread("incr", |b| {
-        let r = b.local("r");
-        b.load(counter, r);
-        b.store(counter, add(r, 1));
-    });
-    p.main(|b| {
-        let h1 = b.local("h1");
-        let h2 = b.local("h2");
-        b.spawn_into(t, h1);
-        b.spawn_into(t, h2);
-        b.join(h1);
-        b.join(h2);
-        let r = b.local("r");
-        b.load(counter, r);
-        b.assert_cond(eq(r, 2), "no update lost");
-    });
-    let program = p.build().unwrap();
-    let ir_stats = iterative_bounding(
-        &program,
-        &ExecConfig::all_visible(),
-        BoundKind::Delay,
-        &limits(1_000),
-    );
-    assert!(ir_stats.found_bug());
-
-    let report = sct::threads::explore(
-        |model| {
-            let cell = std::sync::Arc::new(sct::threads::SharedCell::new(&model, 0));
-            let c1 = cell.clone();
-            let m1 = model.clone();
-            let h1 = model.spawn(move || {
-                let v = c1.load(&m1);
-                c1.store(&m1, v + 1);
-            });
-            let c2 = cell.clone();
-            let m2 = model.clone();
-            let h2 = model.spawn(move || {
-                let v = c2.load(&m2);
-                c2.store(&m2, v + 1);
-            });
-            h1.join(&model);
-            h2.join(&model);
-            let total = cell.load(&model);
-            model.check(total == 2, "no update lost");
-        },
-        Box::new(sct::core::RandomScheduler::new(400, 17)),
-    );
-    assert!(report.bug_found);
-}
-
 // ---------------------------------------------------------------------------
 // Sleep-set partial-order reduction: the differential-testing harness.
 // ---------------------------------------------------------------------------
