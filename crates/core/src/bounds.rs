@@ -24,15 +24,6 @@ impl BoundKind {
             BoundKind::Delay => Box::new(DelayBound),
         }
     }
-
-    /// Short name used in reports.
-    pub fn short_name(self) -> &'static str {
-        match self {
-            BoundKind::None => "DFS",
-            BoundKind::Preemption => "PB",
-            BoundKind::Delay => "DB",
-        }
-    }
 }
 
 /// The cost a scheduling decision contributes towards a schedule bound.
@@ -193,6 +184,5 @@ mod tests {
         assert_eq!(BoundKind::None.policy().name(), "none");
         assert_eq!(BoundKind::Preemption.policy().name(), "preemption");
         assert_eq!(BoundKind::Delay.policy().name(), "delay");
-        assert_eq!(BoundKind::Delay.short_name(), "DB");
     }
 }

@@ -155,9 +155,9 @@ pub(crate) enum Node {
 }
 
 impl Node {
-    fn of_point(point: &SchedulingPoint) -> (Node, usize) {
-        let enabled = point.enabled.len();
-        let node = if enabled == 1 {
+    /// A fresh node for `point`, with no edges yet.
+    fn of_point(point: &SchedulingPoint) -> Node {
+        if point.enabled.len() == 1 {
             Node::Forced {
                 op: point.pending[0],
                 next: None,
@@ -167,8 +167,15 @@ impl Node {
                 point: point.clone(),
                 edges: Vec::new(),
             }
-        };
-        (node, enabled)
+        }
+    }
+
+    /// The node's [`node_weight`] charge.
+    pub(crate) fn weight(&self) -> u64 {
+        match self {
+            Node::Forced { .. } => node_weight(1),
+            Node::Choice { point, .. } => node_weight(point.enabled.len()),
+        }
     }
 
     fn edge(&self, t: ThreadId) -> Option<Link> {
@@ -193,22 +200,6 @@ enum Walk {
     /// caller whether the cache wants the missing suffix (false when the
     /// byte cap has been reached or caching is off).
     Miss { depth: usize, record: bool },
-}
-
-/// Per-step summary recorded during a real execution, for insertion.
-enum RecordedStep {
-    Forced(PendingOp),
-    Choice(SchedulingPoint),
-}
-
-impl RecordedStep {
-    fn of(point: &SchedulingPoint) -> Self {
-        if point.enabled.len() == 1 {
-            RecordedStep::Forced(point.pending[0])
-        } else {
-            RecordedStep::Choice(point.clone())
-        }
-    }
 }
 
 /// A prefix-keyed memo of the deterministic program: scheduling points keyed
@@ -420,9 +411,11 @@ impl ScheduleCache {
     }
 
     /// Insert a completed execution: `schedule` is its full decision path,
-    /// `recorded` the point summaries from `miss_depth` on (the prefix below
-    /// `miss_depth` is already in the trie — or, under a shared cache, may
-    /// have been inserted by another worker in the meantime).
+    /// `recorded` the fresh nodes of its scheduling points from `miss_depth`
+    /// on (the prefix below `miss_depth` is already in the trie — or, under a
+    /// shared cache, may have been inserted by another worker in the
+    /// meantime). The nodes the trie lacks are moved into it; the rest are
+    /// dropped.
     ///
     /// The byte cap is checked after every charged node, not once per suffix:
     /// the moment the estimate reaches `max_bytes` the insert stops, so the
@@ -433,26 +426,26 @@ impl ScheduleCache {
         &mut self,
         schedule: &[ThreadId],
         miss_depth: usize,
-        recorded: &[RecordedStep],
+        recorded: Vec<Node>,
         digest: TerminalDigest,
     ) {
         if self.full || schedule.is_empty() {
             return;
         }
         debug_assert_eq!(miss_depth + recorded.len(), schedule.len());
+        let mut recorded = recorded.into_iter();
+        // Depth of the node `recorded` yields next.
+        let mut head = miss_depth;
+        let mut node_at = |depth: usize| {
+            debug_assert!(depth >= head, "missing node for cached prefix");
+            let node = recorded.nth(depth - head).expect("one node per decision");
+            head = depth + 1;
+            node
+        };
         if self.nodes.is_empty() {
             debug_assert_eq!(miss_depth, 0);
-            let (node, enabled) = match &recorded[0] {
-                RecordedStep::Forced(op) => (
-                    Node::Forced {
-                        op: *op,
-                        next: None,
-                    },
-                    1,
-                ),
-                RecordedStep::Choice(point) => Node::of_point(point),
-            };
-            self.bytes += node_weight(enabled);
+            let node = node_at(0);
+            self.bytes += node.weight();
             self.nodes.push(node);
             if self.bytes >= self.max_bytes {
                 self.full = true;
@@ -481,19 +474,8 @@ impl ScheduleCache {
                         self.bytes += TERMINAL_BYTES;
                         Link::Terminal(d)
                     } else {
-                        let depth = i + 1;
-                        debug_assert!(depth >= miss_depth, "missing summary for cached prefix");
-                        let (node, enabled) = match &recorded[depth - miss_depth] {
-                            RecordedStep::Forced(op) => (
-                                Node::Forced {
-                                    op: *op,
-                                    next: None,
-                                },
-                                1,
-                            ),
-                            RecordedStep::Choice(point) => Node::of_point(point),
-                        };
-                        self.bytes += node_weight(enabled);
+                        let node = node_at(i + 1);
+                        self.bytes += node.weight();
                         let n = self.nodes.len() as u32;
                         self.nodes.push(node);
                         Link::Interior(n)
@@ -659,12 +641,12 @@ pub fn run_begun_schedule(
     // the live scheduling points.
     scheduler.rewind_replay();
     exec.reset();
-    let mut recorded: Vec<RecordedStep> = Vec::new();
+    let mut recorded: Vec<Node> = Vec::new();
     let mut step = 0usize;
     let outcome = exec.run(
         &mut |point| {
             if record && step >= miss_depth {
-                recorded.push(RecordedStep::of(point));
+                recorded.push(Node::of_point(point));
             }
             step += 1;
             scheduler.choose(point)
@@ -675,7 +657,7 @@ pub fn run_begun_schedule(
     if record {
         let digest = TerminalDigest::of(&outcome);
         let schedule = outcome.schedule();
-        cache.write(|c| c.insert(&schedule, miss_depth, &recorded, digest));
+        cache.write(|c| c.insert(&schedule, miss_depth, recorded, digest));
     }
     if let Some(t) = trace.as_mut() {
         t.fill_from(&outcome);
@@ -1082,6 +1064,106 @@ mod tests {
             let (cached, _) = run_level(&prog, 2, false, Some(&mut capped));
             assert_eq!(plain, cached, "cap {cap} changed observable results");
         }
+    }
+
+    /// One execution of `program` in the shape `insert` takes it: the
+    /// schedule, a fresh node per scheduling point, the enabled-thread
+    /// counts [`CacheReplay::apply`] takes, and the terminal digest. It
+    /// follows round robin, except that at step `divert` it picks the last
+    /// enabled thread.
+    fn recorded_run(
+        program: &Program,
+        divert: usize,
+    ) -> (Vec<ThreadId>, Vec<Node>, Vec<u32>, TerminalDigest) {
+        let config = ExecConfig::all_visible();
+        let mut exec = Execution::new_shared(program, &config);
+        let mut nodes = Vec::new();
+        let outcome = exec.run(
+            &mut |point| {
+                let step = nodes.len();
+                nodes.push(Node::of_point(point));
+                if step == divert {
+                    *point.enabled.last().expect("a point has an enabled thread")
+                } else {
+                    point.round_robin_choice()
+                }
+            },
+            &mut NoopObserver,
+        );
+        let counts = outcome
+            .steps
+            .iter()
+            .map(|s| s.enabled.len() as u32)
+            .collect();
+        (
+            outcome.schedule(),
+            nodes,
+            counts,
+            TerminalDigest::of(&outcome),
+        )
+    }
+
+    #[test]
+    fn racing_inserts_of_a_shared_prefix_charge_only_the_new_suffix() {
+        let prog = figure1();
+        let (a, a_nodes, a_counts, a_digest) = recorded_run(&prog, usize::MAX);
+        // Diverge from round robin at the last step where that changes the
+        // choice, so the two schedules share every decision before it.
+        let divert = (0..a.len())
+            .rev()
+            .find(|&i| {
+                matches!(&a_nodes[i], Node::Choice { point, .. }
+                    if point.enabled.last() != Some(&a[i]))
+            })
+            .expect("figure1 has a choice point");
+        let (b, b_nodes, b_counts, b_digest) = recorded_run(&prog, divert);
+        assert_eq!(a[..divert], b[..divert]);
+        assert_ne!(a[divert], b[divert], "the diverted step must differ");
+
+        let mut cache = ScheduleCache::default();
+        let mut replay = CacheReplay::new(DEFAULT_CACHE_BYTES);
+        // Both inserts claim a miss at the root, as a worker whose walk ran
+        // before another worker's insert landed would.
+        cache.insert(&a, 0, a_nodes, a_digest.clone());
+        replay.apply(&a, &a_counts);
+        assert_eq!(cache.bytes(), replay.bytes());
+        let before = cache.bytes();
+        cache.insert(&b, 0, b_nodes, b_digest.clone());
+        replay.apply(&b, &b_counts);
+        let suffix: u64 = b_counts[divert + 1..]
+            .iter()
+            .map(|&n| node_weight(n as usize))
+            .sum::<u64>()
+            + TERMINAL_BYTES;
+        assert_eq!(
+            cache.bytes() - before,
+            suffix,
+            "the shared prefix was charged"
+        );
+        assert_eq!(cache.bytes(), replay.bytes(), "mirror bytes drifted");
+        assert_eq!(cache.insertions(), 2);
+        // Each path leads through nodes of its own points to its own digest.
+        let follow = |schedule: &[ThreadId], counts: &[u32]| {
+            let mut cursor = 0usize;
+            for (d, &t) in schedule.iter().enumerate() {
+                let node = &cache.nodes[cursor];
+                assert_eq!(node.weight(), node_weight(counts[d] as usize), "depth {d}");
+                match node.edge(t) {
+                    Some(Link::Interior(n)) => cursor = n as usize,
+                    Some(Link::Terminal(i)) => return cache.terminals[i as usize].clone(),
+                    None => panic!("path left the trie at depth {d}"),
+                }
+            }
+            panic!("path ended without a terminal")
+        };
+        assert_eq!(follow(&a, &a_counts), a_digest);
+        assert_eq!(follow(&b, &b_counts), b_digest);
+
+        // A schedule already in the trie changes nothing.
+        let (_, again, _, _) = recorded_run(&prog, usize::MAX);
+        cache.insert(&a, 0, again, a_digest);
+        assert_eq!(cache.bytes(), replay.bytes());
+        assert_eq!(cache.insertions(), 2);
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! [`SharedCache`](crate::cache::SharedCache) — see `crate::explore` — which
 //! keeps the resumed statistics deterministic at any worker count.
 
-use crate::cache::{node_weight, Link, Node, ScheduleCache, TerminalDigest, TERMINAL_BYTES};
+use crate::cache::{Link, Node, ScheduleCache, TerminalDigest, TERMINAL_BYTES};
 use crate::fault::{self, FaultKind};
 use sct_ir::{Loc, Program, TemplateId};
 use sct_runtime::{
@@ -690,15 +690,14 @@ fn validate_cache(cache: &ScheduleCache) -> Decode<()> {
     };
     let mut recomputed = 0u64;
     for node in &cache.nodes {
+        recomputed += node.weight();
         match node {
             Node::Forced { next, .. } => {
-                recomputed += node_weight(1);
                 if let Some(link) = next {
                     check(link)?;
                 }
             }
-            Node::Choice { point, edges } => {
-                recomputed += node_weight(point.enabled.len());
+            Node::Choice { edges, .. } => {
                 for (_, link) in edges {
                     check(link)?;
                 }

@@ -133,8 +133,6 @@ pub struct BoundedDfs {
     /// Whether the current execution hit a sleep-blocked node and is being
     /// completed only because a stateless search cannot stop midway.
     redundant: bool,
-    /// Number of redundant (sleep-blocked) completions so far.
-    redundant_runs: u64,
 }
 
 impl BoundedDfs {
@@ -157,7 +155,6 @@ impl BoundedDfs {
             slept: 0,
             pruned_by_sleep: 0,
             redundant: false,
-            redundant_runs: 0,
         }
     }
 
@@ -185,11 +182,6 @@ impl BoundedDfs {
         self
     }
 
-    /// Whether sleep-set reduction is enabled.
-    pub fn sleep_sets_enabled(&self) -> bool {
-        self.sleep_sets
-    }
-
     /// Number of threads put to sleep while backtracking.
     pub fn slept(&self) -> u64 {
         self.slept
@@ -198,12 +190,6 @@ impl BoundedDfs {
     /// Number of in-budget alternatives the sleep sets pruned.
     pub fn pruned_by_sleep(&self) -> u64 {
         self.pruned_by_sleep
-    }
-
-    /// Number of sleep-blocked executions that were completed but not
-    /// counted (see the module documentation).
-    pub fn redundant_runs(&self) -> u64 {
-        self.redundant_runs
     }
 
     /// Whether the search space has been exhausted.
@@ -221,11 +207,6 @@ impl BoundedDfs {
     /// Number of executions started so far.
     pub fn executions(&self) -> u64 {
         self.executions
-    }
-
-    /// The configured bound.
-    pub fn bound(&self) -> u32 {
-        self.bound
     }
 
     /// Rewind the replay cursor to the root without backtracking, so the next
@@ -501,10 +482,7 @@ impl Scheduler for BoundedDfs {
             });
             match diverted {
                 Some(t) => default = t,
-                None => {
-                    self.redundant = true;
-                    self.redundant_runs += 1;
-                }
+                None => self.redundant = true,
             }
         }
         let default_cost = self.policy.cost(point, default);
@@ -815,10 +793,8 @@ mod tests {
     #[test]
     fn sleep_set_counters_and_label_reflect_the_reduction() {
         let prog = figure1();
-        let sched = BoundedDfs::unbounded().with_sleep_sets(true);
-        assert!(sched.sleep_sets_enabled());
+        let mut sched = BoundedDfs::unbounded().with_sleep_sets(true);
         assert!(sched.name().ends_with("+ss"));
-        let mut sched = sched;
         let config = ExecConfig::all_visible();
         let mut exec = Execution::new_shared(&prog, &config);
         while sched.begin_execution() {

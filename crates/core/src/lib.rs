@@ -81,7 +81,7 @@ pub use pct::PctScheduler;
 pub use random::RandomScheduler;
 pub use scheduler::Scheduler;
 pub use stats::ExplorationStats;
-pub use steal::{explore_bounded_stealing, explore_bounded_stealing_digests};
+pub use steal::explore_bounded_stealing_digests;
 pub use telemetry::{Event, Recorder, Telemetry};
 
 /// Convenient glob import.
@@ -100,6 +100,6 @@ pub mod prelude {
     pub use crate::random::RandomScheduler;
     pub use crate::scheduler::Scheduler;
     pub use crate::stats::ExplorationStats;
-    pub use crate::steal::{self, explore_bounded_stealing, explore_bounded_stealing_digests};
+    pub use crate::steal::{self, explore_bounded_stealing_digests};
     pub use crate::telemetry::{self, Event, Recorder, Telemetry};
 }

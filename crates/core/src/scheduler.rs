@@ -66,43 +66,3 @@ pub trait Scheduler {
         false
     }
 }
-
-/// A trivial scheduler that always follows the non-preemptive round-robin
-/// deterministic scheduler and runs a single execution. This is the
-/// "0 delays / 0 preemptions" schedule that IPB, IDB and DFS all execute
-/// first; it is also handy in tests.
-#[derive(Debug, Default)]
-pub struct RoundRobinOnce {
-    ran: bool,
-}
-
-impl Scheduler for RoundRobinOnce {
-    fn begin_execution(&mut self) -> bool {
-        !std::mem::replace(&mut self.ran, true)
-    }
-
-    fn choose(&mut self, point: &SchedulingPoint) -> ThreadId {
-        point.round_robin_choice()
-    }
-
-    fn end_execution(&mut self, _outcome: &ExecutionOutcome) {}
-
-    fn name(&self) -> String {
-        "RoundRobin".to_string()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn round_robin_once_runs_exactly_one_execution() {
-        let mut s = RoundRobinOnce::default();
-        assert!(s.begin_execution());
-        assert!(!s.begin_execution());
-        assert!(!s.begin_execution());
-        assert_eq!(s.name(), "RoundRobin");
-        assert!(!s.is_exhaustive());
-    }
-}

@@ -533,23 +533,12 @@ pub(crate) fn with_engine<R>(
 
 /// Bounded DFS split across [`ExploreLimits::steal_workers`] threads, with
 /// the exact statistics of the serial search — including the completion
-/// probe and redundant-run drain at the schedule limit. Runs serially when
+/// probe and redundant-run drain at the schedule limit — and the terminal
+/// digests of the counted schedules in serial DFS order. Runs serially when
 /// `steal_workers <= 1` or when the POR/bound combination makes donation
-/// unsound (see the module docs).
-pub fn explore_bounded_stealing(
-    program: &Program,
-    config: &ExecConfig,
-    kind: BoundKind,
-    bound: u32,
-    limits: &ExploreLimits,
-) -> ExplorationStats {
-    explore::bounded_search(program, config, kind, bound, limits, false).0
-}
-
-/// [`explore_bounded_stealing`], also returning the terminal digests of the
-/// counted schedules in serial DFS order. The differential tests compare
-/// these (bug sets and terminal fingerprints) against a serial drive of the
-/// same search, on top of the statistics equality.
+/// unsound (see the module docs). The differential tests compare the digests
+/// (bug sets and terminal fingerprints) against a serial drive of the same
+/// search, on top of the statistics equality.
 pub fn explore_bounded_stealing_digests(
     program: &Program,
     config: &ExecConfig,
