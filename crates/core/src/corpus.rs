@@ -672,37 +672,59 @@ pub fn cache_from_bytes(data: &[u8], key: u64, path: &Path) -> Result<ScheduleCa
     Ok(cache)
 }
 
-/// Structural integrity of a freshly decoded trie: every link lands inside
-/// the node/terminal tables, and recomputing the byte estimate from the nodes
-/// reproduces the stored accounting (so a bit flip in either is caught).
+/// Structural integrity of a freshly decoded trie: it has the shape
+/// `ScheduleCache::insert` builds — every interior link points forward, and
+/// every node but the root and every terminal is the target of exactly one
+/// link, inside the node/terminal tables — and recomputing the byte estimate
+/// from the nodes reproduces the stored accounting (so a bit flip in either
+/// is caught). A back-link would make walks loop forever; a shared child
+/// would serve digests recorded under another prefix.
 fn validate_cache(cache: &ScheduleCache) -> Decode<()> {
     let nodes = cache.nodes.len();
     let terminals = cache.terminals.len();
-    let check = |link: &Link| -> Decode<()> {
-        match *link {
-            Link::Interior(n) if (n as usize) < nodes => Ok(()),
-            Link::Terminal(d) if (d as usize) < terminals => Ok(()),
-            Link::Interior(n) => Err(format!("interior link {n} out of bounds ({nodes} nodes)")),
-            Link::Terminal(d) => Err(format!(
-                "terminal link {d} out of bounds ({terminals} terminals)"
+    let mut node_linked = vec![false; nodes];
+    let mut terminal_linked = vec![false; terminals];
+    let mut check = |holder: usize, link: &Link| -> Decode<()> {
+        let (kind, target, linked) = match *link {
+            Link::Interior(n) if n as usize <= holder => {
+                return Err(format!("node {holder} links back to node {n}"))
+            }
+            Link::Interior(n) => ("node", n as usize, &mut node_linked),
+            Link::Terminal(d) => ("terminal", d as usize, &mut terminal_linked),
+        };
+        match linked.get_mut(target) {
+            None => Err(format!(
+                "{kind} link {target} out of bounds ({} {kind}s)",
+                linked.len()
             )),
+            Some(true) => Err(format!("{kind} {target} is the target of two links")),
+            Some(seen) => {
+                *seen = true;
+                Ok(())
+            }
         }
     };
     let mut recomputed = 0u64;
-    for node in &cache.nodes {
+    for (holder, node) in cache.nodes.iter().enumerate() {
         recomputed += node.weight();
         match node {
             Node::Forced { next, .. } => {
                 if let Some(link) = next {
-                    check(link)?;
+                    check(holder, link)?;
                 }
             }
             Node::Choice { edges, .. } => {
                 for (_, link) in edges {
-                    check(link)?;
+                    check(holder, link)?;
                 }
             }
         }
+    }
+    if let Some(n) = node_linked.iter().skip(1).position(|seen| !seen) {
+        return Err(format!("node {} is unreachable", n + 1));
+    }
+    if let Some(d) = terminal_linked.iter().position(|seen| !seen) {
+        return Err(format!("terminal {d} is unreachable"));
     }
     recomputed += terminals as u64 * TERMINAL_BYTES;
     if recomputed != cache.bytes {
@@ -1238,6 +1260,41 @@ mod tests {
         let mut bad = good.clone();
         bad[24] ^= 0x40; // inside the stored `bytes` field
         assert!(cache_from_bytes(&bad, key, p).is_err());
+
+        // Links that keep the byte accounting intact but break the shape
+        // `insert` builds: a link back to the root (walks would loop), and
+        // a child two parents share (it would serve digests recorded under
+        // the other prefix).
+        fn links(node: &mut Node) -> Vec<&mut Link> {
+            match node {
+                Node::Forced { next, .. } => next.iter_mut().collect(),
+                Node::Choice { edges, .. } => edges.iter_mut().map(|(_, link)| link).collect(),
+            }
+        }
+        let mut interior = Vec::new(); // (holder, target)
+        for (holder, node) in cache.clone().nodes.iter_mut().enumerate() {
+            for link in links(node) {
+                if let Link::Interior(n) = *link {
+                    interior.push((holder, n));
+                }
+            }
+        }
+        let redirect = |(holder, from): (usize, u32), to: u32| {
+            let mut bad = cache.clone();
+            for link in links(&mut bad.nodes[holder]) {
+                if matches!(link, Link::Interior(n) if *n == from) {
+                    *link = Link::Interior(to);
+                }
+            }
+            let err = cache_from_bytes(&cache_to_bytes(&bad, key), key, p).unwrap_err();
+            err.to_string()
+        };
+        let (first, last) = (interior[0], interior[interior.len() - 1]);
+        assert!(first != last, "figure1's trie has several interior links");
+        let err = redirect(last, 0);
+        assert!(err.contains("links back to node 0"), "{err}");
+        let err = redirect(first, last.1);
+        assert!(err.contains("target of two links"), "{err}");
     }
 
     #[test]

@@ -3,27 +3,17 @@
 //! the headline comparative results of the paper on the subset that is cheap
 //! enough to run in a unit-test budget.
 
+mod oracle;
+
+use oracle::{assert_same_rows, differential_worker_counts, Case, Same, Search};
 use sct::bench::{all_benchmarks, benchmark_by_name, Suite};
 use sct::harness::{fig2a, fig2b, run_study, table2, HarnessConfig};
 use sct::prelude::*;
 use sct::race::{race_detection_phase, RacePhaseConfig};
+use std::sync::Arc;
 
 fn limits(n: u64) -> ExploreLimits {
     ExploreLimits::with_schedule_limit(n)
-}
-
-/// The worker counts every parallel-vs-serial differential test runs at:
-/// serial, a small count, an oversubscribed count, plus any extra count CI
-/// injects through `SCT_TEST_WORKERS`.
-fn differential_worker_counts() -> Vec<usize> {
-    let mut counts = vec![1usize, 2, 8];
-    if let Some(extra) = std::env::var("SCT_TEST_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        counts.push(extra.max(1));
-    }
-    counts
 }
 
 #[test]
@@ -350,15 +340,6 @@ const CACHE_DIFFERENTIAL_BENCHMARKS: &[&str] = &[
     "splash2.lu",
 ];
 
-/// The exploration statistics with the execution/cache counters cleared —
-/// the only fields schedule caching is supposed to change.
-fn sans_cache_counters(mut stats: sct::core::ExplorationStats) -> sct::core::ExplorationStats {
-    stats.executions = 0;
-    stats.cache_hits = 0;
-    stats.cache_bytes = 0;
-    stats
-}
-
 #[test]
 fn differential_cached_iterative_bounding_matches_uncached_on_sctbench() {
     // The oracle for the tentpole: on every suite benchmark, cached IPB/IDB
@@ -366,25 +347,21 @@ fn differential_cached_iterative_bounding_matches_uncached_on_sctbench() {
     // of first bug, schedule counts, budget/completeness flags — while
     // performing fewer real executions wherever the search climbs past one
     // bound level, and strictly fewer on at least three benchmarks per kind.
-    let lim = limits(1_000);
-    let cached_lim = lim.clone().with_cache(true);
-    for kind in [BoundKind::Preemption, BoundKind::Delay] {
+    for technique in [
+        Technique::IterativePreemptionBounding,
+        Technique::IterativeDelayBounding,
+    ] {
         let mut strictly_reduced = Vec::new();
         for name in CACHE_DIFFERENTIAL_BENCHMARKS {
-            let spec = benchmark_by_name(name).unwrap_or_else(|| panic!("unknown {name}"));
-            let program = spec.program();
-            let config = ExecConfig::all_visible();
-            let uncached = iterative_bounding(&program, &config, kind, &lim);
-            let cached = iterative_bounding(&program, &config, kind, &cached_lim);
-            assert_eq!(
-                sans_cache_counters(uncached.clone()),
-                sans_cache_counters(cached.clone()),
-                "{name}: {kind:?} statistics changed under caching"
-            );
+            let case = Case::new(name, Search::Technique(technique));
+            let uncached = case.side("uncached", limits(1_000));
+            let cached = case.side("cached", limits(1_000).with_cache(true));
+            case.assert_same(Same::ButCacheCounters, &uncached, &cached);
+            let (uncached, cached) = (uncached.stats, cached.stats);
             assert_eq!(
                 cached.executions + cached.cache_hits,
                 uncached.executions,
-                "{name}: {kind:?} skipped executions must equal cache hits"
+                "{case}: skipped executions must equal cache hits"
             );
             if cached.executions < uncached.executions {
                 strictly_reduced.push(*name);
@@ -392,7 +369,8 @@ fn differential_cached_iterative_bounding_matches_uncached_on_sctbench() {
         }
         assert!(
             strictly_reduced.len() >= 3,
-            "{kind:?}: caching reduced executions only on {strictly_reduced:?}; expected ≥ 3"
+            "{}: caching reduced executions only on {strictly_reduced:?}; expected ≥ 3",
+            technique.label()
         );
     }
 }
@@ -518,49 +496,6 @@ fn differential_cached_bounding_preserves_bugs_and_terminal_fingerprints() {
 }
 
 #[test]
-fn stolen_levels_with_cache_and_por_match_the_serial_levels_under_truncation() {
-    // Iterative bounding with the schedule cache and sleep sets in every
-    // combination, at a limit that cuts a bound level mid-way and at one that
-    // does not: the stolen levels must reproduce the serial statistics —
-    // sleep counters, executions and the cache counters the fold charges
-    // through its mirror included — at 1, 2 and 8 steal workers (plus any
-    // count injected by CI through SCT_TEST_WORKERS). POR levels under a
-    // pruning bound stay serial, so there equality holds by construction.
-    let worker_counts = differential_worker_counts();
-    for name in ["CS.din_phil2_sat", "CS.reorder_3_bad", "CS.twostage_bad"] {
-        let spec = benchmark_by_name(name).unwrap();
-        let program = spec.program();
-        let config = ExecConfig::all_visible();
-        for (schedule_limit, por, cache) in [
-            (7u64, true, false),
-            (7, false, true),
-            (7, true, true),
-            (2_000, true, true),
-        ] {
-            let limits = ExploreLimits::with_schedule_limit(schedule_limit)
-                .with_por(por)
-                .with_cache(cache);
-            for kind in [BoundKind::Preemption, BoundKind::Delay] {
-                let serial = iterative_bounding(&program, &config, kind, &limits);
-                for &workers in &worker_counts {
-                    let stolen = iterative_bounding(
-                        &program,
-                        &config,
-                        kind,
-                        &limits.clone().with_steal_workers(workers),
-                    );
-                    assert_eq!(
-                        serial, stolen,
-                        "{name}: {kind:?} with {workers} steal workers at limit \
-                         {schedule_limit}, por={por}, cache={cache}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn cache_harness_pipeline_reports_identical_rows_with_fewer_executions() {
     // End-to-end through the harness: `--schedule-cache` must change no
     // verdict and no study row — only the execution/cache counters.
@@ -590,10 +525,16 @@ fn cache_harness_pipeline_reports_identical_rows_with_fewer_executions() {
         for label in ["IPB", "IDB", "DFS", "Rand", "MapleAlg"] {
             let p = plain.technique(label).unwrap();
             let c = cached.technique(label).unwrap();
-            assert_eq!(
-                sans_cache_counters(p.clone()),
-                sans_cache_counters(c.clone()),
-                "{name}: {label} row changed under --schedule-cache"
+            // Techniques without a covered interior are untouched.
+            let same = match label {
+                "DFS" | "Rand" => Same::Everything,
+                _ => Same::ButCacheCounters,
+            };
+            assert_same_rows(
+                &format!("{name} {label}"),
+                same,
+                ("plain", p),
+                ("cached", c),
             );
         }
         for label in ["IPB", "IDB"] {
@@ -606,9 +547,6 @@ fn cache_harness_pipeline_reports_identical_rows_with_fewer_executions() {
                 p.executions
             );
         }
-        // Techniques without a covered interior are untouched.
-        assert_eq!(plain.technique("Rand"), cached.technique("Rand"), "{name}");
-        assert_eq!(plain.technique("DFS"), cached.technique("DFS"), "{name}");
     }
 }
 
@@ -678,42 +616,57 @@ fn stolen_frontier_techniques_are_bit_identical_to_the_serial_driver() {
     // every flag combination. Where the combination is unsound to steal
     // (POR with a pruning bound), the driver must fall back to serial, so
     // equality still holds by construction.
-    let worker_counts = differential_worker_counts();
-    let techniques = [
-        Technique::Dfs,
-        Technique::IterativePreemptionBounding,
-        Technique::IterativeDelayBounding,
-    ];
     for name in ["CS.din_phil2_sat", "CS.reorder_3_bad", "CS.twostage_bad"] {
-        let spec = benchmark_by_name(name).unwrap();
-        let program = spec.program();
-        let config = ExecConfig::all_visible();
-        for (schedule_limit, por, cache) in [
-            (7u64, false, false),
-            (2_000, false, false),
-            (2_000, true, false),
-            (2_000, false, true),
-            (2_000, true, true),
+        for technique in [
+            Technique::Dfs,
+            Technique::IterativePreemptionBounding,
+            Technique::IterativeDelayBounding,
         ] {
-            for technique in techniques {
-                let base = ExploreLimits::with_schedule_limit(schedule_limit)
-                    .with_por(por)
-                    .with_cache(cache);
-                let serial = explore::run_technique(&program, &config, technique, &base);
-                for &workers in &worker_counts {
-                    let stolen = explore::run_technique(
-                        &program,
-                        &config,
-                        technique,
-                        &base.clone().with_steal_workers(workers),
-                    );
-                    assert_eq!(
-                        serial,
-                        stolen,
-                        "{name}: {} with {workers} steal workers at limit \
-                         {schedule_limit}, por={por}, cache={cache}",
-                        technique.label()
-                    );
+            let case = Case::new(name, Search::Technique(technique));
+            for (schedule_limit, por, cache) in [
+                (7u64, false, false),
+                (2_000, false, false),
+                (2_000, true, false),
+                (2_000, false, true),
+                (2_000, true, true),
+            ] {
+                let base = limits(schedule_limit).with_por(por).with_cache(cache);
+                let serial = case.side("serial", base.clone());
+                for workers in differential_worker_counts() {
+                    let stolen = case.side("stolen", base.clone().with_steal_workers(workers));
+                    case.assert_same(Same::Everything, &serial, &stolen);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn stolen_levels_with_cache_and_por_match_the_serial_levels_under_truncation() {
+    // Iterative bounding with the schedule cache and sleep sets in every
+    // combination, at a limit that cuts a bound level mid-way and at one that
+    // does not: the stolen levels must reproduce the serial statistics —
+    // sleep counters, executions and the cache counters the fold charges
+    // through its mirror included — at every differential worker count.
+    // POR levels under a pruning bound stay serial, so there equality holds
+    // by construction.
+    for name in ["CS.din_phil2_sat", "CS.reorder_3_bad", "CS.twostage_bad"] {
+        for technique in [
+            Technique::IterativePreemptionBounding,
+            Technique::IterativeDelayBounding,
+        ] {
+            let case = Case::new(name, Search::Technique(technique));
+            for (schedule_limit, por, cache) in [
+                (7u64, true, false),
+                (7, false, true),
+                (7, true, true),
+                (2_000, true, true),
+            ] {
+                let base = limits(schedule_limit).with_por(por).with_cache(cache);
+                let serial = case.side("serial", base.clone());
+                for workers in differential_worker_counts() {
+                    let stolen = case.side("stolen", base.clone().with_steal_workers(workers));
+                    case.assert_same(Same::Everything, &serial, &stolen);
                 }
             }
         }
@@ -726,52 +679,30 @@ fn stolen_frontier_preserves_bug_sets_and_terminal_fingerprints() {
     // in exact serial DFS order, so the *stream* of terminal digests — every
     // counted schedule's bug or terminal-state fingerprint, in visit order —
     // must be identical to the serial stream, not merely equal as a set.
-    let worker_counts = differential_worker_counts();
     let mut buggy_streams = 0usize;
     for name in ["CS.din_phil2_sat", "CS.reorder_3_bad", "CS.twostage_bad"] {
-        let spec = benchmark_by_name(name).unwrap();
-        let program = spec.program();
-        let config = ExecConfig::all_visible();
         for (kind, bound) in [
             (BoundKind::None, u32::MAX),
             (BoundKind::Preemption, 1),
             (BoundKind::Preemption, 2),
             (BoundKind::Delay, 1),
         ] {
+            let case = Case::new(name, Search::Bounded(kind, bound));
             for por in [false, true] {
-                let base = limits(2_000).with_por(por);
-                let (serial_stats, serial_digests) = explore_bounded_stealing_digests(
-                    &program,
-                    &config,
-                    kind,
-                    bound,
-                    &base.clone().with_steal_workers(1),
-                );
-                for &workers in &worker_counts {
-                    let (stolen_stats, stolen_digests) = explore_bounded_stealing_digests(
-                        &program,
-                        &config,
-                        kind,
-                        bound,
-                        &base.clone().with_steal_workers(workers),
-                    );
-                    assert_eq!(
-                        serial_stats, stolen_stats,
-                        "{name}: {kind:?}({bound}) por={por}, {workers} workers: stats"
-                    );
-                    assert_eq!(
-                        serial_digests, stolen_digests,
-                        "{name}: {kind:?}({bound}) por={por}, {workers} workers: digest stream"
-                    );
+                let serial = case.side("serial", limits(2_000).with_por(por));
+                for workers in differential_worker_counts() {
+                    let stolen =
+                        case.side("stolen", serial.limits.clone().with_steal_workers(workers));
+                    case.assert_same(Same::Everything, &serial, &stolen);
                 }
                 // The derived observables the study reports — the set of
                 // distinct bugs and of non-buggy terminal states — follow
                 // from stream equality; track that the suite actually
                 // exercises buggy streams rather than vacuous empty ones.
-                if serial_digests.iter().any(|d| d.bug.is_some()) {
+                if serial.digests.iter().any(|d| d.bug.is_some()) {
                     buggy_streams += 1;
                 }
-                assert_eq!(serial_stats.schedules, serial_digests.len() as u64);
+                assert_eq!(serial.stats.schedules, serial.digests.len() as u64);
             }
         }
     }
@@ -779,6 +710,55 @@ fn stolen_frontier_preserves_bug_sets_and_terminal_fingerprints() {
         buggy_streams >= 4,
         "only {buggy_streams} configurations produced a bug; the suite went vacuous"
     );
+}
+
+#[test]
+fn the_oracle_prints_a_replayable_first_divergence() {
+    // Sleep sets drop redundant schedules from the DFS digest stream, so the
+    // oracle must reject the pair and report the first visit where the
+    // streams part — an index, both digests, and a `replay_prefix` line that
+    // re-runs the `por off` side's schedule at that index.
+    let case = Case::new(
+        "CS.reorder_3_bad",
+        Search::Bounded(BoundKind::None, u32::MAX),
+    );
+    let plain = case.side("por off", limits(2_000));
+    let reduced = case.side("por on", limits(2_000).with_por(true));
+    let index = (0..)
+        .find(|&i| plain.digests.get(i) != reduced.digests.get(i))
+        .unwrap();
+    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        case.assert_same(Same::Everything, &plain, &reduced)
+    }))
+    .expect_err("the digest streams differ, so the oracle must fail");
+    let report = panic.downcast_ref::<String>().expect("a formatted report");
+    assert!(
+        report.contains(&format!("first divergent visit: #{index}\n")),
+        "{report}"
+    );
+    for side in [&plain, &reduced] {
+        let digest = format!("{:?}", side.digests[index]);
+        assert!(report.contains(&digest), "{report}");
+    }
+    let line = report
+        .lines()
+        .find(|line| line.contains("replay_prefix("))
+        .unwrap_or_else(|| panic!("no replay line in {report}"));
+    let path: Vec<ThreadId> = line
+        .split_once("&[")
+        .and_then(|(_, rest)| rest.strip_suffix("])"))
+        .expect("a decision list")
+        .split(", ")
+        .map(|t| {
+            let id = t
+                .strip_prefix("ThreadId(")
+                .and_then(|t| t.strip_suffix(')'));
+            ThreadId(id.and_then(|id| id.parse().ok()).expect("a ThreadId"))
+        })
+        .collect();
+    let outcome = corpus::replay_prefix(&case.program, &case.config, &path);
+    assert_eq!(outcome.bug, plain.digests[index].bug);
+    assert_eq!(outcome.fingerprint, plain.digests[index].fingerprint);
 }
 
 // ---------------------------------------------------------------------------
@@ -792,28 +772,21 @@ fn scratch_corpus_dir(test: &str) -> std::path::PathBuf {
     dir
 }
 
-/// One campaign-mode run of `technique`: seed the shared trie from `seed`
-/// (serialized corpus bytes, or `None` for a cold start), explore, and hand
-/// back the statistics together with the trie serialized exactly as
-/// `Corpus::save_cache` would write it.
-fn campaign_run(
-    program: &sct::ir::Program,
-    config: &ExecConfig,
-    technique: Technique,
-    base: &ExploreLimits,
-    key: u64,
-    seed: Option<&[u8]>,
-) -> (sct::core::ExplorationStats, Vec<u8>) {
-    let cache = match seed {
-        Some(bytes) => corpus::cache_from_bytes(bytes, key, std::path::Path::new("<mem>"))
-            .expect("a trie saved by campaign_run must load back"),
-        None => ScheduleCache::default(),
-    };
-    let shared = std::sync::Arc::new(SharedCache::of(cache));
-    let lim = base.clone().with_shared_cache(Some(shared.clone()));
-    let stats = explore::run_technique(program, config, technique, &lim);
-    let saved = shared.with_live(|cache| corpus::cache_to_bytes(cache, key));
-    (stats, saved)
+/// An empty campaign trie.
+fn empty_trie() -> Arc<SharedCache> {
+    Arc::new(SharedCache::of(ScheduleCache::default()))
+}
+
+/// `trie` serialized exactly as `Corpus::save_cache` writes it.
+fn saved(trie: &SharedCache, key: u64) -> Vec<u8> {
+    trie.with_live(|cache| corpus::cache_to_bytes(cache, key))
+}
+
+/// A campaign trie loaded from `bytes`, as a resumed study loads it.
+fn loaded(bytes: &[u8], key: u64) -> Arc<SharedCache> {
+    let cache = corpus::cache_from_bytes(bytes, key, std::path::Path::new("<mem>"))
+        .expect("a saved trie must load back");
+    Arc::new(SharedCache::of(cache))
 }
 
 #[test]
@@ -826,40 +799,30 @@ fn corpus_resume_is_bit_identical_to_the_cold_run_with_strictly_fewer_executions
     // nothing new, re-saving the trie must reproduce the artifact
     // byte-for-byte. Holds for DFS/IPB/IDB × por × budget truncation at
     // every steal-worker count.
-    let worker_counts = differential_worker_counts();
-    let techniques = [
-        Technique::Dfs,
-        Technique::IterativePreemptionBounding,
-        Technique::IterativeDelayBounding,
-    ];
     for name in ["CS.din_phil2_sat", "CS.reorder_3_bad", "CS.twostage_bad"] {
-        let spec = benchmark_by_name(name).unwrap();
-        let program = spec.program();
-        let config = ExecConfig::all_visible();
-        let key = corpus::corpus_key(name, &config);
-        for technique in techniques {
+        for technique in [
+            Technique::Dfs,
+            Technique::IterativePreemptionBounding,
+            Technique::IterativeDelayBounding,
+        ] {
+            let case = Case::new(name, Search::Technique(technique));
+            let key = corpus::corpus_key(name, &case.config);
             for (schedule_limit, por) in [(7u64, false), (2_000, false), (2_000, true)] {
                 let base = limits(schedule_limit).with_por(por);
-                let plain = explore::run_technique(&program, &config, technique, &base);
-                for &workers in &worker_counts {
+                let plain = case.side("corpus-less", base.clone());
+                for workers in differential_worker_counts() {
                     let lim = base.clone().with_steal_workers(workers);
-                    let (cold, saved) = campaign_run(&program, &config, technique, &lim, key, None);
-                    let ctx = format!(
-                        "{name}: {} at limit {schedule_limit}, por={por}, {workers} steal workers",
-                        technique.label()
-                    );
-                    assert_eq!(
-                        sans_cache_counters(plain.clone()),
-                        sans_cache_counters(cold.clone()),
-                        "{ctx}: campaign mode changed the cold run"
-                    );
-                    let (resumed, resaved) =
-                        campaign_run(&program, &config, technique, &lim, key, Some(&saved));
-                    assert_eq!(
-                        sans_cache_counters(cold.clone()),
-                        sans_cache_counters(resumed.clone()),
-                        "{ctx}: resuming changed the statistics"
-                    );
+                    let trie = empty_trie();
+                    let cold = case.side("cold", lim.clone().with_shared_cache(Some(trie.clone())));
+                    case.assert_same(Same::ButCacheCounters, &plain, &cold);
+                    let saved_trie = saved(&trie, key);
+                    let resumed_trie = loaded(&saved_trie, key);
+                    let resumed =
+                        case.side("resumed", lim.with_shared_cache(Some(resumed_trie.clone())));
+                    case.assert_same(Same::ButCacheCounters, &cold, &resumed);
+                    let (cold, resumed) = (cold.stats, resumed.stats);
+                    let ctx =
+                        format!("{case} at limit {schedule_limit}, por={por}, {workers} workers");
                     assert_eq!(
                         resumed.executions + resumed.cache_hits,
                         cold.executions + cold.cache_hits,
@@ -879,7 +842,8 @@ fn corpus_resume_is_bit_identical_to_the_cold_run_with_strictly_fewer_executions
                     // the counted prefix, are insulated from.)
                     if workers == 1 || cold.complete {
                         assert_eq!(
-                            saved, resaved,
+                            saved_trie,
+                            saved(&resumed_trie, key),
                             "{ctx}: re-saving after a covered resume changed the artifact"
                         );
                     }
@@ -898,39 +862,28 @@ fn corpus_answers_the_exhausted_at_limit_probe_without_executing() {
     // the resume must reach the same verdict as the cold run with zero
     // executions, both at the exact budget and one schedule under it.
     for name in ["CS.din_phil2_sat", "CS.reorder_3_bad", "CS.twostage_bad"] {
-        let spec = benchmark_by_name(name).unwrap();
-        let program = spec.program();
-        let config = ExecConfig::all_visible();
-        let key = corpus::corpus_key(name, &config);
+        let case = Case::new(name, Search::Technique(Technique::Dfs));
+        let key = corpus::corpus_key(name, &case.config);
         for por in [false, true] {
-            let exhaustive = explore::run_technique(
-                &program,
-                &config,
-                Technique::Dfs,
-                &limits(500_000).with_por(por),
-            );
+            let exhaustive = case.side("exhaustive", limits(500_000).with_por(por)).stats;
             assert!(exhaustive.complete, "{name}: pick a tractable benchmark");
             let n = exhaustive.schedules;
             for budget in [n, n - 1] {
                 let base = limits(budget).with_por(por);
-                let (cold, saved) =
-                    campaign_run(&program, &config, Technique::Dfs, &base, key, None);
-                let (resumed, _) =
-                    campaign_run(&program, &config, Technique::Dfs, &base, key, Some(&saved));
+                let trie = empty_trie();
+                let cold = case.side("cold", base.clone().with_shared_cache(Some(trie.clone())));
+                let resumed = base.with_shared_cache(Some(loaded(&saved(&trie, key), key)));
+                let resumed = case.side("resumed", resumed);
+                case.assert_same(Same::ButCacheCounters, &cold, &resumed);
                 let ctx = format!("{name}: por={por}, budget {budget} of {n}");
                 assert_eq!(
-                    cold.complete,
+                    cold.stats.complete,
                     budget == n,
                     "{ctx}: the exact budget must be complete, one under it truncated"
                 );
-                assert_eq!(cold.hit_schedule_limit, budget != n, "{ctx}");
+                assert_eq!(cold.stats.hit_schedule_limit, budget != n, "{ctx}");
                 assert_eq!(
-                    sans_cache_counters(cold.clone()),
-                    sans_cache_counters(resumed.clone()),
-                    "{ctx}: the resumed probe changed the verdict"
-                );
-                assert_eq!(
-                    resumed.executions, 0,
+                    resumed.stats.executions, 0,
                     "{ctx}: the probe/drain re-executed despite a covering corpus"
                 );
             }
@@ -940,62 +893,67 @@ fn corpus_answers_the_exhausted_at_limit_probe_without_executing() {
 
 #[test]
 fn corpus_resume_preserves_the_terminal_digest_stream() {
-    // Below the statistics: the resumed run must serve the *same schedules
-    // in the same order*, so the stream of terminal digests of counted
-    // schedules — bug or terminal-state fingerprint, in visit order — is
-    // identical to both the cold campaign stream and the corpus-less stream,
-    // serial and stolen.
-    let worker_counts = differential_worker_counts();
+    // Below the statistics: a run resumed from the saved trie must serve the
+    // *same schedules in the same order*, so the stream of terminal digests
+    // of counted schedules is identical to both the cold campaign stream and
+    // the corpus-less stream, serial and stolen. The full trie covers the
+    // run, so its resume executes nothing.
     for name in ["CS.reorder_3_bad", "CS.twostage_bad"] {
-        let spec = benchmark_by_name(name).unwrap();
-        let program = spec.program();
-        let config = ExecConfig::all_visible();
-        let key = corpus::corpus_key(name, &config);
         for (kind, bound) in [
             (BoundKind::None, u32::MAX),
             (BoundKind::Preemption, 2),
             (BoundKind::Delay, 1),
         ] {
+            let case = Case::new(name, Search::Bounded(kind, bound));
+            let key = corpus::corpus_key(name, &case.config);
             for por in [false, true] {
-                let base = limits(2_000).with_por(por);
-                let (_, reference) =
-                    explore_bounded_stealing_digests(&program, &config, kind, bound, &base);
-                for &workers in &worker_counts {
-                    let lim = base.clone().with_steal_workers(workers);
-                    let cold_shared =
-                        std::sync::Arc::new(SharedCache::of(ScheduleCache::default()));
-                    let (cold_stats, cold_digests) = explore_bounded_stealing_digests(
-                        &program,
-                        &config,
-                        kind,
-                        bound,
-                        &lim.clone().with_shared_cache(Some(cold_shared.clone())),
-                    );
-                    let saved = cold_shared.with_live(|c| corpus::cache_to_bytes(c, key));
-                    let loaded =
-                        corpus::cache_from_bytes(&saved, key, std::path::Path::new("<mem>"))
-                            .unwrap();
-                    let (resumed_stats, resumed_digests) = explore_bounded_stealing_digests(
-                        &program,
-                        &config,
-                        kind,
-                        bound,
-                        &lim.clone()
-                            .with_shared_cache(Some(std::sync::Arc::new(SharedCache::of(loaded)))),
-                    );
-                    let ctx = format!("{name}: {kind:?}({bound}) por={por}, {workers} workers");
-                    assert_eq!(reference, cold_digests, "{ctx}: cold digest stream");
-                    assert_eq!(
-                        cold_digests, resumed_digests,
-                        "{ctx}: resumed digest stream"
-                    );
-                    assert_eq!(
-                        sans_cache_counters(cold_stats),
-                        sans_cache_counters(resumed_stats.clone()),
-                        "{ctx}: stats"
-                    );
-                    assert_eq!(resumed_stats.executions, 0, "{ctx}: resume re-executed");
+                let reference = case.side("corpus-less", limits(2_000).with_por(por));
+                for workers in differential_worker_counts() {
+                    let lim = reference.limits.clone().with_steal_workers(workers);
+                    let trie = empty_trie();
+                    let cold = case.side("cold", lim.clone().with_shared_cache(Some(trie.clone())));
+                    case.assert_same(Same::ButCacheCounters, &reference, &cold);
+                    let full = Some(loaded(&saved(&trie, key), key));
+                    let resumed = case.side("resumed", lim.with_shared_cache(full));
+                    case.assert_same(Same::ButCacheCounters, &cold, &resumed);
+                    assert_eq!(resumed.stats.executions, 0, "{case}: resume re-executed");
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_mid_run_checkpoint_resumes_to_the_cold_run_bit_for_bit() {
+    // Crash-safety oracle for the periodic autosave: a checkpoint is exactly
+    // the trie of a run truncated at the checkpoint's schedule count, so a
+    // study SIGKILLed right after one and resumed at the full budget must
+    // reproduce the cold run's terminal digest stream and statistics while
+    // executing strictly less — at every steal-worker count.
+    for name in ["CS.reorder_3_bad", "CS.twostage_bad"] {
+        for (kind, bound) in [(BoundKind::None, u32::MAX), (BoundKind::Delay, 1)] {
+            let case = Case::new(name, Search::Bounded(kind, bound));
+            let key = corpus::corpus_key(name, &case.config);
+            for workers in differential_worker_counts() {
+                let full = limits(2_000).with_steal_workers(workers);
+                let cold = case.side("cold", full.clone().with_shared_cache(Some(empty_trie())));
+                // "Kill at the checkpoint": the trie after 40 schedules,
+                // serialized exactly as the campaign autosave writes it.
+                let partial = empty_trie();
+                let checkpoint = limits(40).with_steal_workers(workers);
+                case.side(
+                    "checkpoint",
+                    checkpoint.with_shared_cache(Some(partial.clone())),
+                );
+                let partial = Some(loaded(&saved(&partial, key), key));
+                let resumed = case.side("checkpoint resumed", full.with_shared_cache(partial));
+                case.assert_same(Same::ButCacheCounters, &cold, &resumed);
+                assert!(
+                    resumed.stats.executions < cold.stats.executions,
+                    "{case}: the checkpoint saved nothing ({} vs {} executions)",
+                    resumed.stats.executions,
+                    cold.stats.executions
+                );
             }
         }
     }
@@ -1065,10 +1023,16 @@ fn harness_campaign_mode_persists_resumes_and_replays() {
         for label in ["IPB", "IDB", "DFS", "Rand", "MapleAlg"] {
             let c = cold.technique(label).unwrap();
             let r = resumed.technique(label).unwrap();
-            assert_eq!(
-                sans_cache_counters(c.clone()),
-                sans_cache_counters(r.clone()),
-                "{name}: {label} row changed under --resume"
+            // Techniques outside the trie are untouched by the corpus.
+            let same = match label {
+                "Rand" => Same::Everything,
+                _ => Same::ButCacheCounters,
+            };
+            assert_same_rows(
+                &format!("{name} {label}"),
+                same,
+                ("cold", c),
+                ("resumed", r),
             );
         }
         for label in ["IPB", "IDB", "DFS"] {
@@ -1086,8 +1050,6 @@ fn harness_campaign_mode_persists_resumes_and_replays() {
                 c.executions
             );
         }
-        // Techniques outside the trie are untouched by the corpus.
-        assert_eq!(cold.technique("Rand"), resumed.technique("Rand"), "{name}");
 
         // A different execution configuration fingerprints differently:
         // resuming against it must refuse, not silently start cold.
@@ -1135,35 +1097,21 @@ fn time_budgets_are_invisible_until_they_fire() {
         },
     ];
     for name in ["CS.reorder_3_bad", "CS.twostage_bad"] {
-        let spec = benchmark_by_name(name).unwrap();
-        let program = spec.program();
-        let config = ExecConfig::all_visible();
         for technique in techniques {
-            for &workers in &differential_worker_counts() {
+            let case = Case::new(name, Search::Technique(technique));
+            for workers in differential_worker_counts() {
                 let base = limits(300).with_steal_workers(workers);
-                let plain = explore::run_technique(&program, &config, technique, &base);
-                let budgeted = explore::run_technique(
-                    &program,
-                    &config,
-                    technique,
-                    &base.clone().with_time_budget(generous),
-                );
-                let ctx = format!("{name}: {} with {workers} steal workers", technique.label());
+                let plain = case.side("unbudgeted", base.clone());
+                let budgeted =
+                    case.side("generous budget", base.clone().with_time_budget(generous));
+                let ctx = format!("{case} with {workers} steal workers");
                 assert!(
-                    !budgeted.deadline_exceeded,
+                    !budgeted.stats.deadline_exceeded,
                     "{ctx}: a one-hour budget fired"
                 );
-                assert_eq!(
-                    plain, budgeted,
-                    "{ctx}: an unfired budget changed the search"
-                );
+                case.assert_same(Same::Everything, &plain, &budgeted);
 
-                let starved = explore::run_technique(
-                    &program,
-                    &config,
-                    technique,
-                    &base.clone().with_time_budget(zero),
-                );
+                let starved = case.side("zero budget", base.with_time_budget(zero)).stats;
                 assert!(starved.deadline_exceeded, "{ctx}: a zero budget must fire");
                 assert_eq!(
                     starved.schedules, 0,
@@ -1172,75 +1120,6 @@ fn time_budgets_are_invisible_until_they_fire() {
                 assert!(
                     !starved.complete && !starved.hit_schedule_limit && !starved.bound_exhausted,
                     "{ctx}: a deadline stop must not masquerade as any other stop"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn a_mid_run_checkpoint_resumes_to_the_cold_run_bit_for_bit() {
-    // Crash-safety oracle for the periodic autosave: a checkpoint is exactly
-    // the trie of a run truncated at the checkpoint's schedule count, so a
-    // study SIGKILLed right after one and resumed at the full budget must
-    // reproduce the cold run's terminal digest stream and statistics while
-    // executing strictly less — at every steal-worker count.
-    let worker_counts = differential_worker_counts();
-    for name in ["CS.reorder_3_bad", "CS.twostage_bad"] {
-        let spec = benchmark_by_name(name).unwrap();
-        let program = spec.program();
-        let config = ExecConfig::all_visible();
-        let key = corpus::corpus_key(name, &config);
-        for (kind, bound) in [(BoundKind::None, u32::MAX), (BoundKind::Delay, 1)] {
-            for &workers in &worker_counts {
-                let full = limits(2_000).with_steal_workers(workers);
-                let cold_shared = std::sync::Arc::new(SharedCache::of(ScheduleCache::default()));
-                let (cold_stats, cold_digests) = explore_bounded_stealing_digests(
-                    &program,
-                    &config,
-                    kind,
-                    bound,
-                    &full.clone().with_shared_cache(Some(cold_shared.clone())),
-                );
-
-                // "Kill at the checkpoint": the interior after 40 schedules,
-                // serialized exactly as the campaign autosave writes it.
-                let partial_shared = std::sync::Arc::new(SharedCache::of(ScheduleCache::default()));
-                let _ = explore_bounded_stealing_digests(
-                    &program,
-                    &config,
-                    kind,
-                    bound,
-                    &limits(40)
-                        .with_steal_workers(workers)
-                        .with_shared_cache(Some(partial_shared.clone())),
-                );
-                let checkpoint = partial_shared.with_live(|c| corpus::cache_to_bytes(c, key));
-                let loaded =
-                    corpus::cache_from_bytes(&checkpoint, key, std::path::Path::new("<mem>"))
-                        .expect("a checkpoint must load back");
-
-                let (resumed_stats, resumed_digests) = explore_bounded_stealing_digests(
-                    &program,
-                    &config,
-                    kind,
-                    bound,
-                    &full
-                        .clone()
-                        .with_shared_cache(Some(std::sync::Arc::new(SharedCache::of(loaded)))),
-                );
-                let ctx = format!("{name}: {kind:?}({bound}), {workers} steal workers");
-                assert_eq!(cold_digests, resumed_digests, "{ctx}: digest stream");
-                assert_eq!(
-                    sans_cache_counters(cold_stats.clone()),
-                    sans_cache_counters(resumed_stats.clone()),
-                    "{ctx}: stats"
-                );
-                assert!(
-                    resumed_stats.executions < cold_stats.executions,
-                    "{ctx}: the checkpoint saved nothing ({} vs {} executions)",
-                    resumed_stats.executions,
-                    cold_stats.executions
                 );
             }
         }
@@ -1470,40 +1349,23 @@ fn telemetry_tracing_changes_no_stats_or_digest_stream() {
     // serial-order terminal-digest stream bit-identical to the untraced run,
     // at every steal-worker count.
     use sct::core::telemetry::CountingRecorder;
-    use std::sync::Arc;
 
     for name in ["CS.reorder_3_bad", "CS.twostage_bad"] {
-        let spec = benchmark_by_name(name).unwrap();
-        let program = spec.program();
-        let config = ExecConfig::all_visible();
         for (kind, bound) in [(BoundKind::None, u32::MAX), (BoundKind::Delay, 1)] {
-            for workers in [1usize, 2, 8] {
+            let case = Case::new(name, Search::Bounded(kind, bound));
+            for workers in differential_worker_counts() {
                 let off = limits(1_000).with_steal_workers(workers);
-                let (plain_stats, plain_digests) =
-                    explore_bounded_stealing_digests(&program, &config, kind, bound, &off);
-
                 let recorder = Arc::new(CountingRecorder::default());
                 let telemetry = Telemetry::with_progress_interval(
                     vec![Box::new(Arc::clone(&recorder))],
                     std::time::Duration::ZERO,
                 );
-                let on = limits(1_000)
-                    .with_steal_workers(workers)
-                    .with_telemetry(telemetry);
-                let (traced_stats, traced_digests) =
-                    explore_bounded_stealing_digests(&program, &config, kind, bound, &on);
-
-                assert_eq!(
-                    plain_stats, traced_stats,
-                    "{name}: {kind:?}({bound}) at {workers} steal workers: stats drifted under tracing"
-                );
-                assert_eq!(
-                    plain_digests, traced_digests,
-                    "{name}: {kind:?}({bound}) at {workers} steal workers: digest stream drifted"
-                );
+                let untraced = case.side("untraced", off.clone());
+                let traced = case.side("traced", off.with_telemetry(telemetry));
+                case.assert_same(Same::Everything, &untraced, &traced);
                 assert!(
                     recorder.total() > 0,
-                    "{name}: tracing at {workers} workers recorded nothing — the oracle is vacuous"
+                    "{case}: tracing at {workers} workers recorded nothing — the oracle is vacuous"
                 );
             }
         }
@@ -1517,7 +1379,6 @@ fn every_producer_emits_the_same_bound_cache_and_bug_events() {
     // one cache_degraded, and the sequence of bound_level, cache_degraded
     // and bug_found events is identical on one thread and stolen across two.
     use sct::core::telemetry::BufferRecorder;
-    use std::sync::Arc;
 
     let spec = benchmark_by_name("CS.reorder_3_bad").unwrap();
     let program = spec.program();
@@ -1572,22 +1433,13 @@ fn telemetry_off_is_the_default_and_records_nothing() {
     assert!(!ExploreLimits::default().telemetry.is_on());
     assert!(!Telemetry::new(Vec::new()).is_on());
 
-    let spec = benchmark_by_name("CS.reorder_3_bad").unwrap();
-    let program = spec.program();
-    let config = ExecConfig::all_visible();
-    let implicit = explore::run_technique(
-        &program,
-        &config,
-        Technique::IterativeDelayBounding,
-        &limits(500),
+    let case = Case::new(
+        "CS.reorder_3_bad",
+        Search::Technique(Technique::IterativeDelayBounding),
     );
-    let explicit = explore::run_technique(
-        &program,
-        &config,
-        Technique::IterativeDelayBounding,
-        &limits(500).with_telemetry(Telemetry::off()),
-    );
-    assert_eq!(implicit, explicit);
+    let implicit = case.side("implicit off", limits(500));
+    let explicit = case.side("explicit off", limits(500).with_telemetry(Telemetry::off()));
+    case.assert_same(Same::Everything, &implicit, &explicit);
 }
 
 #[test]
@@ -1598,7 +1450,6 @@ fn study_trace_is_schema_valid_and_covers_the_event_families() {
     // lifecycle, race phase, bound levels, steal activity, cache state and
     // bug discovery.
     use sct::core::telemetry::{validate_trace_line, BufferRecorder};
-    use std::sync::Arc;
 
     let recorder = Arc::new(BufferRecorder::default());
     let config = HarnessConfig {
