@@ -178,6 +178,15 @@ impl Node {
         }
     }
 
+    /// Every outgoing edge as (decision, link), in edge order.
+    pub(crate) fn links(&self) -> impl Iterator<Item = (ThreadId, Link)> + '_ {
+        let (forced, edges) = match self {
+            Node::Forced { op, next } => (next.map(|link| (op.thread, link)), &[][..]),
+            Node::Choice { edges, .. } => (None, &edges[..]),
+        };
+        forced.into_iter().chain(edges.iter().copied())
+    }
+
     fn edge(&self, t: ThreadId) -> Option<Link> {
         match self {
             Node::Forced { op, next } => {
@@ -290,16 +299,7 @@ impl ScheduleCache {
         // Iterative DFS: (node index, next edge ordinal to visit).
         let mut stack: Vec<(usize, usize)> = vec![(0, 0)];
         while let Some(&mut (node, ref mut edge)) = stack.last_mut() {
-            let next = match &self.nodes[node] {
-                Node::Forced { op, next } => {
-                    if *edge == 0 {
-                        next.map(|l| (op.thread, l))
-                    } else {
-                        None
-                    }
-                }
-                Node::Choice { edges, .. } => edges.get(*edge).map(|&(t, l)| (t, l)),
-            };
+            let next = self.nodes[node].links().nth(*edge);
             *edge += 1;
             match next {
                 Some((t, Link::Interior(n))) => {
@@ -704,19 +704,13 @@ impl CacheReplay {
         let nodes = cache
             .nodes
             .iter()
-            .map(|node| match node {
-                Node::Forced { op, next } => match next {
-                    None => Vec::new(),
-                    Some(Link::Interior(n)) => vec![(op.thread, Some(*n))],
-                    Some(Link::Terminal(_)) => vec![(op.thread, None)],
-                },
-                Node::Choice { edges, .. } => edges
-                    .iter()
-                    .map(|&(t, link)| match link {
+            .map(|node| {
+                node.links()
+                    .map(|(t, link)| match link {
                         Link::Interior(n) => (t, Some(n)),
                         Link::Terminal(_) => (t, None),
                     })
-                    .collect(),
+                    .collect()
             })
             .collect();
         CacheReplay {

@@ -8,13 +8,19 @@
 //! * a **versioned, endian-stable binary format** for the trie
 //!   ([`cache_to_bytes`] / [`cache_from_bytes`]): interior nodes (including
 //!   the compressed single-enabled representation), terminal digests and the
-//!   byte accounting round-trip exactly, and every load is validated —
-//!   corrupted, truncated or wrong-version files fail with a [`CorpusError`],
-//!   never a panic or a silent cold start;
+//!   byte accounting round-trip exactly. Every artifact ends in a checksum of
+//!   all the bytes before it (format version 2), checked before anything is
+//!   decoded, and every decoded trie is validated structurally — corrupted,
+//!   truncated or wrong-version files fail with a [`CorpusError`], never a
+//!   panic, a silent cold start or a silently changed digest;
 //! * a **keyed** header: the file records a fingerprint of the program name
 //!   and [`ExecConfig`] it was built against ([`corpus_key`]), because a trie
 //!   is only a valid memo of the exact deterministic program it observed —
 //!   resuming against a different configuration is an error, not a guess;
+//! * **one declaration per wire type**: the `wire!` table lists each
+//!   composite type's tags and field order once, and generates its encoder,
+//!   its decoder and the minimum size the length guards check against; the
+//!   corpus key hashes the same encoding of the configuration;
 //! * a **replayable bug corpus**: every buggy terminal in the trie is
 //!   distilled to a *minimized decision prefix* ([`minimize_prefix`], binary
 //!   search against the deterministic program) and saved next to the trie;
@@ -40,14 +46,17 @@ use sct_runtime::{
     Bug, ExecConfig, Execution, ExecutionOutcome, NoopObserver, PendingOp, SchedulingPoint,
     ThreadId, VisibilityMode,
 };
+use std::collections::HashSet;
 use std::fmt;
 use std::fs;
+use std::hash::Hash;
 use std::io;
 use std::path::{Path, PathBuf};
 
 /// On-disk format version. Bump on any incompatible layout change; loads of
-/// other versions fail with [`CorpusError::UnsupportedVersion`].
-pub const FORMAT_VERSION: u32 = 1;
+/// other versions fail with [`CorpusError::UnsupportedVersion`]. Version 2
+/// ends every artifact with an 8-byte FNV-1a checksum of the bytes before it.
+pub const FORMAT_VERSION: u32 = 2;
 
 const CACHE_MAGIC: &[u8; 4] = b"SCTC";
 const BUGS_MAGIC: &[u8; 4] = b"SCTB";
@@ -110,50 +119,41 @@ impl From<io::Error> for CorpusError {
 }
 
 /// Fingerprint of the (program, execution configuration) pair a corpus
-/// artifact is valid for. FNV-1a over the name, the visibility mode (racy
-/// locations sorted, so the hash is set-order independent) and the execution
-/// limits — everything that changes which scheduling points the deterministic
-/// program produces.
+/// artifact is valid for: a hash of the pair's wire encoding. The encoding
+/// covers every [`ExecConfig`] field (visibility with its racy locations
+/// sorted, so the key is set-order independent, and the execution limits) —
+/// everything that changes which scheduling points the deterministic program
+/// produces — so the fields that invalidate a memo are listed once, in the
+/// wire table below.
 pub fn corpus_key(program_name: &str, config: &ExecConfig) -> u64 {
-    let mut h = Fnv::new();
-    h.bytes(program_name.as_bytes());
-    match &config.visibility {
-        VisibilityMode::SyncOnly => h.u64(0),
-        VisibilityMode::AllSharedAccesses => h.u64(1),
-        VisibilityMode::RacyOnly(locs) => {
-            h.u64(2);
-            let mut sorted: Vec<Loc> = locs.iter().copied().collect();
-            sorted.sort();
-            h.u64(sorted.len() as u64);
-            for loc in sorted {
-                h.u64(loc.template.0 as u64);
-                h.u64(loc.pc as u64);
-            }
-        }
-    }
-    h.u64(config.max_steps as u64);
-    h.u64(config.max_invisible_ops_per_step as u64);
-    h.finish()
+    let mut w = Writer::default();
+    w.str(program_name);
+    config.put(&mut w);
+    checksum(&w.buf)
 }
 
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn bytes(&mut self, data: &[u8]) {
-        for &b in data {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+/// FNV-1a over `data` in four interleaved lanes: little-endian 8-byte word
+/// `i` goes into lane `i % 4`, one word per multiply; then the lanes and the
+/// tail bytes are folded into one more FNV-1a state. Each step is a
+/// bijection of the state it updates, so a change confined to one word — in
+/// particular any single-byte flip — always changes the result. The lanes
+/// are independent, so their multiplies overlap instead of waiting on each
+/// other.
+fn checksum(data: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut lanes = [BASIS; 4];
+    let mut blocks = data.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = (*lane ^ u64::from_le_bytes(word.try_into().unwrap())).wrapping_mul(PRIME);
         }
     }
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
+    let tail = blocks.remainder().iter().map(|&b| b as u64);
+    lanes
+        .into_iter()
+        .chain(tail)
+        .fold(BASIS, |h, v| (h ^ v).wrapping_mul(PRIME))
 }
 
 // ---------------------------------------------------------------------------
@@ -256,337 +256,360 @@ impl<'a> Reader<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Field encoders shared by the trie and bug formats.
+// The wire format: one declaration per type, both directions.
 // ---------------------------------------------------------------------------
 
-fn put_thread(w: &mut Writer, t: ThreadId) {
-    w.u64(t.0 as u64);
+/// A type with an on-disk layout: how it is written, how it is read back,
+/// and the fewest bytes any encoding of it takes — the bound a collection's
+/// length prefix is checked against before anything is allocated.
+///
+/// The non-generic impls are `#[inline]`: the `Vec`/`Option` impls that call
+/// them are instantiated in other codegen units, where a plain function is
+/// not inlined and every field of every node costs a call.
+trait Wire: Sized {
+    const MIN_BYTES: usize;
+    fn put(&self, w: &mut Writer);
+    fn get(r: &mut Reader<'_>) -> Decode<Self>;
 }
 
-fn get_thread(r: &mut Reader<'_>) -> Decode<ThreadId> {
-    Ok(ThreadId(r.u64()? as usize))
-}
-
-fn put_loc(w: &mut Writer, loc: Loc) {
-    w.u32(loc.template.0);
-    w.u32(loc.pc);
-}
-
-fn get_loc(r: &mut Reader<'_>) -> Decode<Loc> {
-    Ok(Loc {
-        template: TemplateId(r.u32()?),
-        pc: r.u32()?,
-    })
-}
-
-fn put_op(w: &mut Writer, op: &PendingOp) {
-    put_thread(w, op.thread);
-    put_loc(w, op.loc);
-    match op.addr {
-        None => w.u8(0),
-        Some(a) => {
-            w.u8(1);
-            w.u64(a as u64);
-        }
-    }
-    w.u8(op.is_write as u8);
-}
-
-fn get_op(r: &mut Reader<'_>) -> Decode<PendingOp> {
-    let thread = get_thread(r)?;
-    let loc = get_loc(r)?;
-    let addr = match r.u8()? {
-        0 => None,
-        1 => Some(r.u64()? as usize),
-        v => return Err(format!("invalid option tag {v} for pending-op address")),
-    };
-    let is_write = r.bool()?;
-    Ok(PendingOp {
-        thread,
-        loc,
-        addr,
-        is_write,
-    })
-}
-
-fn put_point(w: &mut Writer, point: &SchedulingPoint) {
-    w.u64(point.enabled.len() as u64);
-    for &t in &point.enabled {
-        put_thread(w, t);
-    }
-    match point.last {
-        None => w.u8(0),
-        Some(t) => {
-            w.u8(1);
-            put_thread(w, t);
-        }
-    }
-    w.u8(point.last_enabled as u8);
-    w.u64(point.num_threads as u64);
-    w.u64(point.step_index as u64);
-    w.u64(point.pending.len() as u64);
-    for op in &point.pending {
-        put_op(w, op);
-    }
-}
-
-fn get_point(r: &mut Reader<'_>) -> Decode<SchedulingPoint> {
-    let n = r.len(8)?;
-    let mut enabled = Vec::with_capacity(n);
-    for _ in 0..n {
-        enabled.push(get_thread(r)?);
-    }
-    let last = match r.u8()? {
-        0 => None,
-        1 => Some(get_thread(r)?),
-        v => return Err(format!("invalid option tag {v} for last thread")),
-    };
-    let last_enabled = r.bool()?;
-    let num_threads = r.u64()? as usize;
-    let step_index = r.u64()? as usize;
-    let n = r.len(18)?;
-    let mut pending = Vec::with_capacity(n);
-    for _ in 0..n {
-        pending.push(get_op(r)?);
-    }
-    Ok(SchedulingPoint {
-        enabled,
-        last,
-        last_enabled,
-        num_threads,
-        step_index,
-        pending,
-    })
-}
-
-fn put_bug(w: &mut Writer, bug: &Bug) {
-    match bug {
-        Bug::AssertionFailure { thread, loc, msg } => {
-            w.u8(0);
-            put_thread(w, *thread);
-            put_loc(w, *loc);
-            w.str(msg);
-        }
-        Bug::ExplicitFailure { thread, loc, msg } => {
-            w.u8(1);
-            put_thread(w, *thread);
-            put_loc(w, *loc);
-            w.str(msg);
-        }
-        Bug::Deadlock { blocked } => {
-            w.u8(2);
-            w.u64(blocked.len() as u64);
-            for &t in blocked {
-                put_thread(w, t);
+/// Fixed-width integers, written little-endian by the same-named
+/// [`Writer`]/[`Reader`] primitive.
+macro_rules! wire_int {
+    ($($t:ident),*) => {$(
+        impl Wire for $t {
+            const MIN_BYTES: usize = std::mem::size_of::<$t>();
+            #[inline]
+            fn put(&self, w: &mut Writer) {
+                w.$t(*self)
+            }
+            #[inline]
+            fn get(r: &mut Reader<'_>) -> Decode<Self> {
+                r.$t()
             }
         }
-        Bug::UnlockNotHeld { thread, loc } => {
-            w.u8(3);
-            put_thread(w, *thread);
-            put_loc(w, *loc);
-        }
-        Bug::UseAfterDestroy { thread, loc } => {
-            w.u8(4);
-            put_thread(w, *thread);
-            put_loc(w, *loc);
-        }
-        Bug::DestroyBusy { thread, loc } => {
-            w.u8(5);
-            put_thread(w, *thread);
-            put_loc(w, *loc);
-        }
-        Bug::OutOfBounds {
-            thread,
-            loc,
-            index,
-            len,
-        } => {
-            w.u8(6);
-            put_thread(w, *thread);
-            put_loc(w, *loc);
-            w.i64(*index);
-            w.u32(*len);
-        }
-        Bug::InvalidJoin {
-            thread,
-            loc,
-            target,
-        } => {
-            w.u8(7);
-            put_thread(w, *thread);
-            put_loc(w, *loc);
-            w.i64(*target);
-        }
-        Bug::WaitWithoutMutex { thread, loc } => {
-            w.u8(8);
-            put_thread(w, *thread);
-            put_loc(w, *loc);
-        }
-        Bug::StepLimitExceeded { limit } => {
-            w.u8(9);
-            w.u64(*limit as u64);
-        }
+    )*};
+}
+
+wire_int!(u32, u64, i64);
+
+/// Written as a `u64`, so the format does not depend on the platform's width.
+impl Wire for usize {
+    const MIN_BYTES: usize = 8;
+    #[inline]
+    fn put(&self, w: &mut Writer) {
+        w.u64(*self as u64)
+    }
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Decode<Self> {
+        Ok(r.u64()? as usize)
     }
 }
 
-fn get_bug(r: &mut Reader<'_>) -> Decode<Bug> {
-    Ok(match r.u8()? {
-        0 => Bug::AssertionFailure {
-            thread: get_thread(r)?,
-            loc: get_loc(r)?,
-            msg: r.str()?,
-        },
-        1 => Bug::ExplicitFailure {
-            thread: get_thread(r)?,
-            loc: get_loc(r)?,
-            msg: r.str()?,
-        },
-        2 => {
-            let n = r.len(8)?;
-            let mut blocked = Vec::with_capacity(n);
-            for _ in 0..n {
-                blocked.push(get_thread(r)?);
+impl Wire for bool {
+    const MIN_BYTES: usize = 1;
+    #[inline]
+    fn put(&self, w: &mut Writer) {
+        w.u8(*self as u8)
+    }
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Decode<Self> {
+        r.bool()
+    }
+}
+
+impl Wire for String {
+    const MIN_BYTES: usize = 8;
+    #[inline]
+    fn put(&self, w: &mut Writer) {
+        w.str(self)
+    }
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Decode<Self> {
+        r.str()
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, w: &mut Writer) {
+        match self {
+            None => w.u8(0),
+            Some(v) => {
+                w.u8(1);
+                v.put(w);
             }
-            Bug::Deadlock { blocked }
-        }
-        3 => Bug::UnlockNotHeld {
-            thread: get_thread(r)?,
-            loc: get_loc(r)?,
-        },
-        4 => Bug::UseAfterDestroy {
-            thread: get_thread(r)?,
-            loc: get_loc(r)?,
-        },
-        5 => Bug::DestroyBusy {
-            thread: get_thread(r)?,
-            loc: get_loc(r)?,
-        },
-        6 => Bug::OutOfBounds {
-            thread: get_thread(r)?,
-            loc: get_loc(r)?,
-            index: r.i64()?,
-            len: r.u32()?,
-        },
-        7 => Bug::InvalidJoin {
-            thread: get_thread(r)?,
-            loc: get_loc(r)?,
-            target: r.i64()?,
-        },
-        8 => Bug::WaitWithoutMutex {
-            thread: get_thread(r)?,
-            loc: get_loc(r)?,
-        },
-        9 => Bug::StepLimitExceeded {
-            limit: r.u64()? as usize,
-        },
-        v => return Err(format!("invalid bug tag {v}")),
-    })
-}
-
-fn put_digest(w: &mut Writer, d: &TerminalDigest) {
-    match &d.bug {
-        None => w.u8(0),
-        Some(bug) => {
-            w.u8(1);
-            put_bug(w, bug);
         }
     }
-    w.u8(d.diverged as u8);
-    w.u64(d.threads_created as u64);
-    w.u64(d.max_enabled as u64);
-    w.u64(d.scheduling_points as u64);
-    w.u64(d.fingerprint);
-    w.u32(d.preemptions);
-    w.u32(d.delays);
+    fn get(r: &mut Reader<'_>) -> Decode<Self> {
+        match r.u8()? {
+            0 => Ok(None),
+            1 => T::get(r).map(Some),
+            v => Err(format!("invalid option tag {v}")),
+        }
+    }
 }
 
-fn get_digest(r: &mut Reader<'_>) -> Decode<TerminalDigest> {
-    let bug = match r.u8()? {
-        0 => None,
-        1 => Some(get_bug(r)?),
-        v => return Err(format!("invalid option tag {v} for terminal bug")),
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut Writer) {
+        w.u64(self.len() as u64);
+        for v in self {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Decode<Self> {
+        let n = r.len(T::MIN_BYTES)?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(T::get(r)?);
+        }
+        Ok(items)
+    }
+}
+
+/// A set has no order of its own: it is written sorted, so equal sets encode
+/// (and key) identically.
+impl<T: Wire + Ord + Hash> Wire for HashSet<T> {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut Writer) {
+        let mut sorted: Vec<&T> = self.iter().collect();
+        sorted.sort();
+        w.u64(sorted.len() as u64);
+        for v in sorted {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Decode<Self> {
+        Ok(Vec::<T>::get(r)?.into_iter().collect())
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+    fn put(&self, w: &mut Writer) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Decode<Self> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+/// The smallest of `sizes` (the cheapest enum variant).
+const fn min_of(sizes: &[usize]) -> usize {
+    let (mut min, mut i) = (usize::MAX, 0);
+    while i < sizes.len() {
+        if sizes[i] < min {
+            min = sizes[i];
+        }
+        i += 1;
+    }
+    min
+}
+
+/// Derives [`Wire`] for composite types from one declaration each. Fields
+/// are written in the order listed; an enum writes its variant's tag byte
+/// first. `MIN_BYTES` is the sum of the fields' (for an enum: one tag byte
+/// plus its cheapest variant's).
+macro_rules! wire {
+    () => {};
+    (struct $name:ident($t:ty); $($rest:tt)*) => {
+        impl Wire for $name {
+            const MIN_BYTES: usize = <$t as Wire>::MIN_BYTES;
+            #[inline]
+            fn put(&self, w: &mut Writer) {
+                self.0.put(w)
+            }
+            #[inline]
+            fn get(r: &mut Reader<'_>) -> Decode<Self> {
+                Ok($name(Wire::get(r)?))
+            }
+        }
+        wire!($($rest)*);
     };
-    Ok(TerminalDigest {
-        bug,
-        diverged: r.bool()?,
-        threads_created: r.u64()? as usize,
-        max_enabled: r.u64()? as usize,
-        scheduling_points: r.u64()? as usize,
-        fingerprint: r.u64()?,
-        preemptions: r.u32()?,
-        delays: r.u32()?,
-    })
-}
-
-fn put_link(w: &mut Writer, link: Link) {
-    match link {
-        Link::Interior(n) => {
-            w.u8(0);
-            w.u32(n);
+    (struct $name:ident { $($f:ident: $t:ty),* $(,)? } $($rest:tt)*) => {
+        impl Wire for $name {
+            const MIN_BYTES: usize = 0 $(+ <$t as Wire>::MIN_BYTES)*;
+            #[inline]
+            fn put(&self, w: &mut Writer) {
+                $(self.$f.put(w);)*
+            }
+            #[inline]
+            fn get(r: &mut Reader<'_>) -> Decode<Self> {
+                Ok($name { $($f: Wire::get(r)?),* })
+            }
         }
-        Link::Terminal(d) => {
-            w.u8(1);
-            w.u32(d);
-        }
-    }
-}
-
-fn get_link(r: &mut Reader<'_>) -> Decode<Link> {
-    Ok(match r.u8()? {
-        0 => Link::Interior(r.u32()?),
-        1 => Link::Terminal(r.u32()?),
-        v => return Err(format!("invalid link tag {v}")),
-    })
-}
-
-fn put_node(w: &mut Writer, node: &Node) {
-    match node {
-        Node::Forced { op, next } => {
-            w.u8(0);
-            put_op(w, op);
-            match next {
-                None => w.u8(0),
-                Some(link) => {
-                    w.u8(1);
-                    put_link(w, *link);
+        wire!($($rest)*);
+    };
+    (enum $name:ident { $($tag:literal => $v:ident $fields:tt),* $(,)? } $($rest:tt)*) => {
+        impl Wire for $name {
+            const MIN_BYTES: usize = 1 + min_of(&[$(wire!(@min $fields)),*]);
+            #[inline]
+            fn put(&self, w: &mut Writer) {
+                match self {
+                    $($name::$v { .. } => w.u8($tag),)*
                 }
+                $(wire!(@put self, w, $name::$v $fields);)*
+            }
+            #[inline]
+            fn get(r: &mut Reader<'_>) -> Decode<Self> {
+                Ok(match r.u8()? {
+                    $($tag => wire!(@get r, $name::$v $fields),)*
+                    v => return Err(format!("invalid {} tag {v}", stringify!($name))),
+                })
             }
         }
-        Node::Choice { point, edges } => {
-            w.u8(1);
-            put_point(w, point);
-            w.u64(edges.len() as u64);
-            for &(t, link) in edges {
-                put_thread(w, t);
-                put_link(w, link);
-            }
+        wire!($($rest)*);
+    };
+    (@min { $($f:ident: $t:ty),* $(,)? }) => { 0 $(+ <$t as Wire>::MIN_BYTES)* };
+    (@min ($t:ty)) => { <$t as Wire>::MIN_BYTES };
+    (@put $s:ident, $w:ident, $name:ident::$v:ident { $($f:ident: $t:ty),* $(,)? }) => {
+        if let $name::$v { $($f),* } = $s {
+            $($f.put($w);)*
         }
-    }
+    };
+    (@put $s:ident, $w:ident, $name:ident::$v:ident ($t:ty)) => {
+        if let $name::$v(x) = $s {
+            x.put($w);
+        }
+    };
+    (@get $r:ident, $name:ident::$v:ident { $($f:ident: $t:ty),* $(,)? }) => {
+        $name::$v { $($f: Wire::get($r)?),* }
+    };
+    (@get $r:ident, $name:ident::$v:ident ($t:ty)) => {
+        $name::$v(Wire::get($r)?)
+    };
 }
 
-fn get_node(r: &mut Reader<'_>) -> Decode<Node> {
-    Ok(match r.u8()? {
-        0 => {
-            let op = get_op(r)?;
-            let next = match r.u8()? {
-                0 => None,
-                1 => Some(get_link(r)?),
-                v => return Err(format!("invalid option tag {v} for forced edge")),
-            };
-            Node::Forced { op, next }
+wire! {
+    struct ThreadId(usize);
+    struct TemplateId(u32);
+    struct Loc { template: TemplateId, pc: u32 }
+    struct PendingOp { thread: ThreadId, loc: Loc, addr: Option<usize>, is_write: bool }
+    struct SchedulingPoint {
+        enabled: Vec<ThreadId>,
+        last: Option<ThreadId>,
+        last_enabled: bool,
+        num_threads: usize,
+        step_index: usize,
+        pending: Vec<PendingOp>,
+    }
+    struct TerminalDigest {
+        bug: Option<Bug>,
+        diverged: bool,
+        threads_created: usize,
+        max_enabled: usize,
+        scheduling_points: usize,
+        fingerprint: u64,
+        preemptions: u32,
+        delays: u32,
+    }
+    enum Link {
+        0 => Interior(u32),
+        1 => Terminal(u32),
+    }
+    enum Node {
+        0 => Forced { op: PendingOp, next: Option<Link> },
+        1 => Choice { point: SchedulingPoint, edges: Vec<(ThreadId, Link)> },
+    }
+    enum Bug {
+        0 => AssertionFailure { thread: ThreadId, loc: Loc, msg: String },
+        1 => ExplicitFailure { thread: ThreadId, loc: Loc, msg: String },
+        2 => Deadlock { blocked: Vec<ThreadId> },
+        3 => UnlockNotHeld { thread: ThreadId, loc: Loc },
+        4 => UseAfterDestroy { thread: ThreadId, loc: Loc },
+        5 => DestroyBusy { thread: ThreadId, loc: Loc },
+        6 => OutOfBounds { thread: ThreadId, loc: Loc, index: i64, len: u32 },
+        7 => InvalidJoin { thread: ThreadId, loc: Loc, target: i64 },
+        8 => WaitWithoutMutex { thread: ThreadId, loc: Loc },
+        9 => StepLimitExceeded { limit: usize },
+    }
+    enum VisibilityMode {
+        0 => SyncOnly {},
+        1 => AllSharedAccesses {},
+        2 => RacyOnly(HashSet<Loc>),
+    }
+    struct ExecConfig {
+        visibility: VisibilityMode,
+        max_steps: usize,
+        max_invisible_ops_per_step: usize,
+    }
+    struct BugRecord { prefix: Vec<ThreadId>, bug: Bug }
+    struct BugCorpus { benchmark: String, config: ExecConfig, records: Vec<BugRecord> }
+}
+
+// ---------------------------------------------------------------------------
+// Artifact framing: header, body, checksum.
+// ---------------------------------------------------------------------------
+
+/// Encode one artifact: magic, format version, the key (tries only), the
+/// body `fill` writes, then the checksum of everything before it.
+fn write_artifact(magic: &[u8; 4], key: Option<u64>, fill: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = Writer::default();
+    w.buf.extend_from_slice(magic);
+    w.u32(FORMAT_VERSION);
+    if let Some(key) = key {
+        w.u64(key);
+    }
+    fill(&mut w);
+    let sum = checksum(&w.buf);
+    w.u64(sum);
+    w.buf
+}
+
+/// Decode one artifact [`write_artifact`] encoded, checking the magic, the
+/// version, the checksum and the key (tries only) in that order — so no
+/// corrupted byte is ever decoded — before `body` consumes every byte up to
+/// the checksum.
+fn read_artifact<T>(
+    data: &[u8],
+    magic: &[u8; 4],
+    key: Option<u64>,
+    path: &Path,
+    body: impl FnOnce(&mut Reader<'_>) -> Decode<T>,
+) -> Result<T, CorpusError> {
+    let corrupted = |detail: String| CorpusError::Corrupted {
+        path: path.to_path_buf(),
+        detail,
+    };
+    let mut r = Reader::new(data);
+    if r.take(4).map_err(corrupted)? != magic {
+        return Err(CorpusError::BadMagic {
+            path: path.to_path_buf(),
+        });
+    }
+    let version = r.u32().map_err(corrupted)?;
+    if version != FORMAT_VERSION {
+        return Err(CorpusError::UnsupportedVersion {
+            path: path.to_path_buf(),
+            found: version,
+        });
+    }
+    let Some(end) = data.len().checked_sub(8).filter(|&end| end >= r.pos) else {
+        return Err(corrupted("truncated before the checksum".to_string()));
+    };
+    let (covered, stored) = data.split_at(end);
+    let stored = Reader::new(stored).u64().map_err(corrupted)?;
+    let computed = checksum(covered);
+    if stored != computed {
+        return Err(corrupted(format!(
+            "checksum mismatch (stored {stored:#018x}, computed {computed:#018x})"
+        )));
+    }
+    let mut r = Reader { buf: covered, ..r };
+    if let Some(expected) = key {
+        let found = r.u64().map_err(corrupted)?;
+        if found != expected {
+            return Err(CorpusError::KeyMismatch {
+                path: path.to_path_buf(),
+                expected,
+                found,
+            });
         }
-        1 => {
-            let point = get_point(r)?;
-            let n = r.len(13)?;
-            let mut edges = Vec::with_capacity(n);
-            for _ in 0..n {
-                let t = get_thread(r)?;
-                edges.push((t, get_link(r)?));
-            }
-            Node::Choice { point, edges }
-        }
-        v => return Err(format!("invalid node tag {v}")),
-    })
+    }
+    body(&mut r)
+        .and_then(|value| r.finish().map(|()| value))
+        .map_err(corrupted)
 }
 
 // ---------------------------------------------------------------------------
@@ -594,82 +617,33 @@ fn get_node(r: &mut Reader<'_>) -> Decode<Node> {
 // ---------------------------------------------------------------------------
 
 /// Serialize a trie to the versioned binary format, stamped with `key`.
+///
+/// The session counters (`hits`, `insertions`) are deliberately not part of
+/// the format: a loaded trie starts a fresh session over durable content,
+/// which also keeps serialize→load→serialize byte-stable.
 pub fn cache_to_bytes(cache: &ScheduleCache, key: u64) -> Vec<u8> {
-    let mut w = Writer::default();
-    w.buf.extend_from_slice(CACHE_MAGIC);
-    w.u32(FORMAT_VERSION);
-    w.u64(key);
-    w.u64(cache.max_bytes);
-    w.u64(cache.bytes);
-    w.u8(cache.full as u8);
-    w.u64(cache.nodes.len() as u64);
-    for node in &cache.nodes {
-        put_node(&mut w, node);
-    }
-    w.u64(cache.terminals.len() as u64);
-    for d in &cache.terminals {
-        put_digest(&mut w, d);
-    }
-    w.buf
+    write_artifact(CACHE_MAGIC, Some(key), |w| {
+        cache.max_bytes.put(w);
+        cache.bytes.put(w);
+        cache.full.put(w);
+        cache.nodes.put(w);
+        cache.terminals.put(w);
+    })
 }
 
-/// Load a trie from its binary form, verifying magic, version, key and
-/// structural integrity (every edge in bounds, byte accounting consistent).
+/// Load a trie from its binary form, verifying magic, version, checksum, key
+/// and structural integrity (every edge in bounds and the trie shape
+/// `insert` builds, byte accounting consistent).
 pub fn cache_from_bytes(data: &[u8], key: u64, path: &Path) -> Result<ScheduleCache, CorpusError> {
-    let corrupted = |detail: String| CorpusError::Corrupted {
-        path: path.to_path_buf(),
-        detail,
-    };
-    let mut r = Reader::new(data);
-    let magic = r.take(4).map_err(&corrupted)?;
-    if magic != CACHE_MAGIC {
-        return Err(CorpusError::BadMagic {
-            path: path.to_path_buf(),
-        });
-    }
-    let version = r.u32().map_err(&corrupted)?;
-    if version != FORMAT_VERSION {
-        return Err(CorpusError::UnsupportedVersion {
-            path: path.to_path_buf(),
-            found: version,
-        });
-    }
-    let found_key = r.u64().map_err(&corrupted)?;
-    if found_key != key {
-        return Err(CorpusError::KeyMismatch {
-            path: path.to_path_buf(),
-            expected: key,
-            found: found_key,
-        });
-    }
-    // The session counters (`hits`, `insertions`) are deliberately not part
-    // of the format: a loaded trie starts a fresh session over durable
-    // content, which also keeps serialize→load→serialize byte-stable.
-    let parse = |r: &mut Reader<'_>| -> Decode<ScheduleCache> {
-        let max_bytes = r.u64()?;
-        let bytes = r.u64()?;
-        let full = r.bool()?;
-        let n = r.len(2)?;
-        let mut nodes = Vec::with_capacity(n);
-        for _ in 0..n {
-            nodes.push(get_node(r)?);
-        }
-        let n = r.len(2)?;
-        let mut terminals = Vec::with_capacity(n);
-        for _ in 0..n {
-            terminals.push(get_digest(r)?);
-        }
-        r.finish()?;
-        let mut cache = ScheduleCache::new(max_bytes);
-        cache.nodes = nodes;
-        cache.terminals = terminals;
-        cache.bytes = bytes;
-        cache.full = full;
+    read_artifact(data, CACHE_MAGIC, Some(key), path, |r| {
+        let mut cache = ScheduleCache::new(Wire::get(r)?);
+        cache.bytes = Wire::get(r)?;
+        cache.full = Wire::get(r)?;
+        cache.nodes = Wire::get(r)?;
+        cache.terminals = Wire::get(r)?;
+        validate_cache(&cache)?;
         Ok(cache)
-    };
-    let cache = parse(&mut r).map_err(&corrupted)?;
-    validate_cache(&cache).map_err(&corrupted)?;
-    Ok(cache)
+    })
 }
 
 /// Structural integrity of a freshly decoded trie: it has the shape
@@ -684,39 +658,26 @@ fn validate_cache(cache: &ScheduleCache) -> Decode<()> {
     let terminals = cache.terminals.len();
     let mut node_linked = vec![false; nodes];
     let mut terminal_linked = vec![false; terminals];
-    let mut check = |holder: usize, link: &Link| -> Decode<()> {
-        let (kind, target, linked) = match *link {
-            Link::Interior(n) if n as usize <= holder => {
-                return Err(format!("node {holder} links back to node {n}"))
-            }
-            Link::Interior(n) => ("node", n as usize, &mut node_linked),
-            Link::Terminal(d) => ("terminal", d as usize, &mut terminal_linked),
-        };
-        match linked.get_mut(target) {
-            None => Err(format!(
-                "{kind} link {target} out of bounds ({} {kind}s)",
-                linked.len()
-            )),
-            Some(true) => Err(format!("{kind} {target} is the target of two links")),
-            Some(seen) => {
-                *seen = true;
-                Ok(())
-            }
-        }
-    };
     let mut recomputed = 0u64;
     for (holder, node) in cache.nodes.iter().enumerate() {
         recomputed += node.weight();
-        match node {
-            Node::Forced { next, .. } => {
-                if let Some(link) = next {
-                    check(holder, link)?;
+        for (_, link) in node.links() {
+            let (kind, target, linked) = match link {
+                Link::Interior(n) if n as usize <= holder => {
+                    return Err(format!("node {holder} links back to node {n}"))
                 }
-            }
-            Node::Choice { edges, .. } => {
-                for (_, link) in edges {
-                    check(holder, link)?;
+                Link::Interior(n) => ("node", n as usize, &mut node_linked),
+                Link::Terminal(d) => ("terminal", d as usize, &mut terminal_linked),
+            };
+            match linked.get_mut(target) {
+                None => {
+                    return Err(format!(
+                        "{kind} link {target} out of bounds ({} {kind}s)",
+                        linked.len()
+                    ))
                 }
+                Some(true) => return Err(format!("{kind} {target} is the target of two links")),
+                Some(seen) => *seen = true,
             }
         }
     }
@@ -770,107 +731,14 @@ pub struct BugCorpus {
     pub records: Vec<BugRecord>,
 }
 
-fn put_config(w: &mut Writer, config: &ExecConfig) {
-    match &config.visibility {
-        VisibilityMode::SyncOnly => w.u8(0),
-        VisibilityMode::AllSharedAccesses => w.u8(1),
-        VisibilityMode::RacyOnly(locs) => {
-            w.u8(2);
-            let mut sorted: Vec<Loc> = locs.iter().copied().collect();
-            sorted.sort();
-            w.u64(sorted.len() as u64);
-            for loc in sorted {
-                put_loc(w, loc);
-            }
-        }
-    }
-    w.u64(config.max_steps as u64);
-    w.u64(config.max_invisible_ops_per_step as u64);
-}
-
-fn get_config(r: &mut Reader<'_>) -> Decode<ExecConfig> {
-    let visibility = match r.u8()? {
-        0 => VisibilityMode::SyncOnly,
-        1 => VisibilityMode::AllSharedAccesses,
-        2 => {
-            let n = r.len(8)?;
-            let mut locs = Vec::with_capacity(n);
-            for _ in 0..n {
-                locs.push(get_loc(r)?);
-            }
-            VisibilityMode::racy(locs)
-        }
-        v => return Err(format!("invalid visibility tag {v}")),
-    };
-    Ok(ExecConfig {
-        visibility,
-        max_steps: r.u64()? as usize,
-        max_invisible_ops_per_step: r.u64()? as usize,
-    })
-}
-
 /// Serialize a bug corpus to the versioned binary format.
 pub fn bugs_to_bytes(corpus: &BugCorpus) -> Vec<u8> {
-    let mut w = Writer::default();
-    w.buf.extend_from_slice(BUGS_MAGIC);
-    w.u32(FORMAT_VERSION);
-    w.str(&corpus.benchmark);
-    put_config(&mut w, &corpus.config);
-    w.u64(corpus.records.len() as u64);
-    for record in &corpus.records {
-        w.u64(record.prefix.len() as u64);
-        for &t in &record.prefix {
-            put_thread(&mut w, t);
-        }
-        put_bug(&mut w, &record.bug);
-    }
-    w.buf
+    write_artifact(BUGS_MAGIC, None, |w| corpus.put(w))
 }
 
-/// Load a bug corpus, verifying magic, version and structure.
+/// Load a bug corpus, verifying magic, version, checksum and structure.
 pub fn bugs_from_bytes(data: &[u8], path: &Path) -> Result<BugCorpus, CorpusError> {
-    let corrupted = |detail: String| CorpusError::Corrupted {
-        path: path.to_path_buf(),
-        detail,
-    };
-    let mut r = Reader::new(data);
-    let magic = r.take(4).map_err(&corrupted)?;
-    if magic != BUGS_MAGIC {
-        return Err(CorpusError::BadMagic {
-            path: path.to_path_buf(),
-        });
-    }
-    let version = r.u32().map_err(&corrupted)?;
-    if version != FORMAT_VERSION {
-        return Err(CorpusError::UnsupportedVersion {
-            path: path.to_path_buf(),
-            found: version,
-        });
-    }
-    let parse = |r: &mut Reader<'_>| -> Decode<BugCorpus> {
-        let benchmark = r.str()?;
-        let config = get_config(r)?;
-        let n = r.len(9)?;
-        let mut records = Vec::with_capacity(n);
-        for _ in 0..n {
-            let len = r.len(8)?;
-            let mut prefix = Vec::with_capacity(len);
-            for _ in 0..len {
-                prefix.push(get_thread(r)?);
-            }
-            records.push(BugRecord {
-                prefix,
-                bug: get_bug(r)?,
-            });
-        }
-        r.finish()?;
-        Ok(BugCorpus {
-            benchmark,
-            config,
-            records,
-        })
-    };
-    parse(&mut r).map_err(&corrupted)
+    read_artifact(data, BUGS_MAGIC, None, path, BugCorpus::get)
 }
 
 /// Run the program once: follow `prefix` decision by decision (falling back
@@ -1232,13 +1100,15 @@ mod tests {
             Err(CorpusError::BadMagic { .. })
         ));
 
-        // Unsupported version.
-        let mut bad = good.clone();
-        bad[4] = 99;
-        assert!(matches!(
-            cache_from_bytes(&bad, key, p),
-            Err(CorpusError::UnsupportedVersion { found: 99, .. })
-        ));
+        // Unsupported version, including a version-1 file (no checksum).
+        for found in [1, 99] {
+            let mut bad = good.clone();
+            bad[4] = found as u8;
+            assert!(matches!(
+                cache_from_bytes(&bad, key, p),
+                Err(CorpusError::UnsupportedVersion { found: f, .. }) if f == found
+            ));
+        }
 
         // Key mismatch (different configuration).
         let other = corpus_key("figure1", &ExecConfig::sync_only());
@@ -1256,35 +1126,68 @@ mod tests {
             );
         }
 
-        // A flipped byte in the accounting is caught by validation.
+        // Any single corrupted byte of a trie or a bug file fails the load:
+        // the checksum covers what structural validation cannot see, such
+        // as a digest's counts or a bug's message.
+        let bugs = bugs_to_bytes(&pinned_bugs());
+        for i in 0..good.len().max(bugs.len()) {
+            for mask in [0x01, 0x80, 0xff] {
+                if let Some(byte) = good.get(i) {
+                    let mut bad = good.clone();
+                    bad[i] = byte ^ mask;
+                    assert!(
+                        cache_from_bytes(&bad, key, p).is_err(),
+                        "trie byte {i} ^ {mask:#04x} was accepted"
+                    );
+                }
+                if let Some(byte) = bugs.get(i) {
+                    let mut bad = bugs.clone();
+                    bad[i] = byte ^ mask;
+                    assert!(
+                        bugs_from_bytes(&bad, p).is_err(),
+                        "bug-file byte {i} ^ {mask:#04x} was accepted"
+                    );
+                }
+            }
+        }
         let mut bad = good.clone();
-        bad[24] ^= 0x40; // inside the stored `bytes` field
-        assert!(cache_from_bytes(&bad, key, p).is_err());
+        bad[good.len() / 2] ^= 0x01;
+        let err = cache_from_bytes(&bad, key, p).unwrap_err();
+        assert!(err.to_string().contains("checksum mismatch"), "{err}");
+
+        // Behind a valid checksum, validation still checks the accounting.
+        let mut bad = cache.clone();
+        bad.bytes ^= 0x40;
+        let err = cache_from_bytes(&cache_to_bytes(&bad, key), key, p).unwrap_err();
+        assert!(
+            err.to_string().contains("byte accounting mismatch"),
+            "{err}"
+        );
 
         // Links that keep the byte accounting intact but break the shape
         // `insert` builds: a link back to the root (walks would loop), and
         // a child two parents share (it would serve digests recorded under
         // the other prefix).
-        fn links(node: &mut Node) -> Vec<&mut Link> {
-            match node {
-                Node::Forced { next, .. } => next.iter_mut().collect(),
-                Node::Choice { edges, .. } => edges.iter_mut().map(|(_, link)| link).collect(),
-            }
-        }
-        let mut interior = Vec::new(); // (holder, target)
-        for (holder, node) in cache.clone().nodes.iter_mut().enumerate() {
-            for link in links(node) {
-                if let Link::Interior(n) = *link {
-                    interior.push((holder, n));
-                }
-            }
-        }
+        let interior: Vec<(usize, u32)> = cache
+            .nodes
+            .iter()
+            .enumerate()
+            .flat_map(|(holder, node)| node.links().map(move |(_, link)| (holder, link)))
+            .filter_map(|(holder, link)| match link {
+                Link::Interior(n) => Some((holder, n)),
+                Link::Terminal(_) => None,
+            })
+            .collect();
         let redirect = |(holder, from): (usize, u32), to: u32| {
             let mut bad = cache.clone();
-            for link in links(&mut bad.nodes[holder]) {
+            let retarget = |link: &mut Link| {
                 if matches!(link, Link::Interior(n) if *n == from) {
                     *link = Link::Interior(to);
                 }
+            };
+            match &mut bad.nodes[holder] {
+                Node::Forced { next, .. } => next.iter_mut().for_each(retarget),
+                Node::Choice { edges, .. } => edges.iter_mut().for_each(|(_, l)| retarget(l)),
             }
             let err = cache_from_bytes(&cache_to_bytes(&bad, key), key, p).unwrap_err();
             err.to_string()
@@ -1295,6 +1198,243 @@ mod tests {
         assert!(err.contains("links back to node 0"), "{err}");
         let err = redirect(first, last.1);
         assert!(err.contains("target of two links"), "{err}");
+    }
+
+    fn loc(template: u32, pc: u32) -> Loc {
+        Loc {
+            template: TemplateId(template),
+            pc,
+        }
+    }
+
+    fn op(thread: usize, pc: u32, addr: Option<usize>, is_write: bool) -> PendingOp {
+        PendingOp {
+            thread: ThreadId(thread),
+            loc: loc(thread as u32, pc),
+            addr,
+            is_write,
+        }
+    }
+
+    /// A hand-built trie using every node and link variant and both sides of
+    /// every `Option` it stores, with the byte accounting `validate_cache`
+    /// expects.
+    fn pinned_trie() -> ScheduleCache {
+        let t = ThreadId;
+        let nodes = vec![
+            Node::Choice {
+                point: SchedulingPoint {
+                    enabled: vec![t(0), t(1)],
+                    last: None,
+                    last_enabled: false,
+                    num_threads: 2,
+                    step_index: 0,
+                    pending: vec![op(0, 1, Some(3), true), op(1, 2, None, false)],
+                },
+                edges: vec![(t(0), Link::Interior(1)), (t(1), Link::Terminal(0))],
+            },
+            Node::Forced {
+                op: op(0, 2, Some(4), false),
+                next: Some(Link::Interior(2)),
+            },
+            Node::Choice {
+                point: SchedulingPoint {
+                    enabled: vec![t(0), t(1), t(2)],
+                    last: Some(t(0)),
+                    last_enabled: true,
+                    num_threads: 3,
+                    step_index: 2,
+                    pending: vec![
+                        op(0, 3, None, false),
+                        op(1, 2, None, false),
+                        op(2, 0, Some(5), true),
+                    ],
+                },
+                edges: vec![
+                    (t(0), Link::Terminal(1)),
+                    (t(1), Link::Interior(3)),
+                    (t(2), Link::Interior(4)),
+                ],
+            },
+            Node::Forced {
+                op: op(1, 4, None, true),
+                next: Some(Link::Terminal(2)),
+            },
+            Node::Forced {
+                op: op(2, 1, Some(6), false),
+                next: None,
+            },
+        ];
+        let terminals = vec![
+            TerminalDigest {
+                bug: None,
+                diverged: false,
+                threads_created: 2,
+                max_enabled: 2,
+                scheduling_points: 1,
+                fingerprint: 0x0123_4567_89ab_cdef,
+                preemptions: 0,
+                delays: 1,
+            },
+            TerminalDigest {
+                bug: Some(Bug::Deadlock {
+                    blocked: vec![t(1), t(2)],
+                }),
+                diverged: false,
+                threads_created: 3,
+                max_enabled: 3,
+                scheduling_points: 2,
+                fingerprint: 0xfedc_ba98_7654_3210,
+                preemptions: 1,
+                delays: 2,
+            },
+            TerminalDigest {
+                bug: Some(Bug::StepLimitExceeded { limit: 1000 }),
+                diverged: true,
+                threads_created: 3,
+                max_enabled: 3,
+                scheduling_points: 3,
+                fingerprint: 7,
+                preemptions: 2,
+                delays: 3,
+            },
+        ];
+        let mut cache = ScheduleCache::new(1 << 20);
+        cache.bytes =
+            nodes.iter().map(Node::weight).sum::<u64>() + terminals.len() as u64 * TERMINAL_BYTES;
+        cache.nodes = nodes;
+        cache.terminals = terminals;
+        cache
+    }
+
+    /// A hand-built bug corpus holding every `Bug` variant once, under a
+    /// racy-only configuration whose locations are given out of order.
+    fn pinned_bugs() -> BugCorpus {
+        let t = ThreadId;
+        let bugs = vec![
+            Bug::AssertionFailure {
+                thread: t(1),
+                loc: loc(1, 4),
+                msg: "x == y".to_string(),
+            },
+            Bug::ExplicitFailure {
+                thread: t(2),
+                loc: loc(2, 7),
+                msg: "boom".to_string(),
+            },
+            Bug::Deadlock {
+                blocked: vec![t(0), t(2)],
+            },
+            Bug::UnlockNotHeld {
+                thread: t(1),
+                loc: loc(1, 1),
+            },
+            Bug::UseAfterDestroy {
+                thread: t(2),
+                loc: loc(2, 2),
+            },
+            Bug::DestroyBusy {
+                thread: t(0),
+                loc: loc(0, 3),
+            },
+            Bug::OutOfBounds {
+                thread: t(1),
+                loc: loc(1, 5),
+                index: -1,
+                len: 4,
+            },
+            Bug::InvalidJoin {
+                thread: t(0),
+                loc: loc(0, 6),
+                target: 9,
+            },
+            Bug::WaitWithoutMutex {
+                thread: t(2),
+                loc: loc(2, 8),
+            },
+            Bug::StepLimitExceeded { limit: 20_000 },
+        ];
+        BugCorpus {
+            benchmark: "pinned".to_string(),
+            config: ExecConfig {
+                visibility: VisibilityMode::racy([loc(2, 5), loc(0, 3)]),
+                max_steps: 1000,
+                max_invisible_ops_per_step: 50,
+            },
+            records: bugs
+                .into_iter()
+                .enumerate()
+                .map(|(i, bug)| BugRecord {
+                    prefix: (0..i % 3).map(ThreadId).collect(),
+                    bug,
+                })
+                .collect(),
+        }
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    const PINNED_KEY: u64 = 0x5eed_c0de_0000_0001;
+
+    const PINNED_TRIE_HEX: &str = concat!(
+        "534354430200000001000000dec0ed5e0000100000000000c003000000000000",
+        "0005000000000000000102000000000000000000000000000000010000000000",
+        "0000000002000000000000000000000000000000020000000000000000000000",
+        "0000000000000000010000000103000000000000000101000000000000000100",
+        "0000020000000000020000000000000000000000000000000001000000010000",
+        "0000000000010000000000000000000000000000000000020000000104000000",
+        "0000000000010002000000010300000000000000000000000000000001000000",
+        "0000000002000000000000000100000000000000000103000000000000000200",
+        "0000000000000300000000000000000000000000000000000000030000000000",
+        "0100000000000000010000000200000000000200000000000000020000000000",
+        "0000010500000000000000010300000000000000000000000000000001010000",
+        "0001000000000000000003000000020000000000000000040000000001000000",
+        "0000000001000000040000000001010102000000000200000000000000020000",
+        "0001000000010600000000000000000003000000000000000000020000000000",
+        "000002000000000000000100000000000000efcdab8967452301000000000100",
+        "0000010202000000000000000100000000000000020000000000000000030000",
+        "0000000000030000000000000002000000000000001032547698badcfe010000",
+        "00020000000109e8030000000000000103000000000000000300000000000000",
+        "030000000000000007000000000000000200000003000000",
+        "e020f31b252e5f21", // checksum
+    );
+
+    const PINNED_BUGS_HEX: &str = concat!(
+        "5343544202000000060000000000000070696e6e656402020000000000000000",
+        "000000030000000200000005000000e80300000000000032000000000000000a",
+        "0000000000000000000000000000000001000000000000000100000004000000",
+        "060000000000000078203d3d2079010000000000000000000000000000000102",
+        "0000000000000002000000070000000400000000000000626f6f6d0200000000",
+        "0000000000000000000000010000000000000002020000000000000000000000",
+        "0000000002000000000000000000000000000000030100000000000000010000",
+        "0001000000010000000000000000000000000000000402000000000000000200",
+        "0000020000000200000000000000000000000000000001000000000000000500",
+        "0000000000000000000000030000000000000000000000060100000000000000",
+        "0100000005000000ffffffffffffffff04000000010000000000000000000000",
+        "0000000007000000000000000000000000060000000900000000000000020000",
+        "0000000000000000000000000001000000000000000802000000000000000200",
+        "000008000000000000000000000009204e000000000000",
+        "5636da361a2a96cf", // checksum
+    );
+
+    #[test]
+    fn wire_format_is_pinned_byte_for_byte() {
+        let trie = pinned_trie();
+        let data = cache_to_bytes(&trie, PINNED_KEY);
+        assert_eq!(hex(&data), PINNED_TRIE_HEX, "trie encoding changed");
+        let loaded = cache_from_bytes(&data, PINNED_KEY, Path::new("pinned")).expect("decode");
+        assert_eq!(cache_to_bytes(&loaded, PINNED_KEY), data);
+        assert_eq!(loaded.terminals, trie.terminals);
+
+        let bugs = pinned_bugs();
+        let data = bugs_to_bytes(&bugs);
+        assert_eq!(hex(&data), PINNED_BUGS_HEX, "bug-corpus encoding changed");
+        assert_eq!(
+            bugs_from_bytes(&data, Path::new("pinned")).expect("decode"),
+            bugs
+        );
     }
 
     #[test]

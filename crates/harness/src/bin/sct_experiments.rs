@@ -74,6 +74,7 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument: {other}")),
         }
     }
+    cli::check_flags(&config)?;
     Ok(Args {
         config,
         filter,

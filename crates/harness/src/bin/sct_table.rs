@@ -152,6 +152,10 @@ fn main() {
             }
         }
     }
+    if let Err(e) = cli::check_flags(&config) {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
 
     // `validate-trace` treats `--trace` as an *input* path, so it must run
     // before `build_telemetry` — which would truncate that very file to open

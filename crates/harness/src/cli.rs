@@ -124,6 +124,17 @@ pub fn parse_common_flag(
     Ok(true)
 }
 
+/// Reject flag combinations that no single flag's parser can see; both
+/// binaries call this once parsing is done. `--resume` without
+/// `--corpus-dir` has nothing to resume from: it would run a cold one-shot
+/// study that looks like a resumed one.
+pub fn check_flags(config: &HarnessConfig) -> Result<(), String> {
+    if config.resume && config.corpus_dir.is_none() {
+        return Err("--resume requires --corpus-dir".to_string());
+    }
+    Ok(())
+}
+
 /// Build the telemetry handle a parsed [`HarnessConfig`] asks for: a JSONL
 /// recorder writing to `--trace`'s path (the file is created here, truncating
 /// any previous run) and — unless `--quiet` — a stderr progress heartbeat
@@ -320,6 +331,19 @@ mod tests {
             !Path::new("first.jsonl").exists() && !Path::new("second.jsonl").exists(),
             "parsing alone must not open trace files"
         );
+    }
+
+    #[test]
+    fn resume_without_a_corpus_dir_is_rejected() {
+        let (config, _) = parse(&["--resume"]).unwrap();
+        assert_eq!(
+            check_flags(&config),
+            Err("--resume requires --corpus-dir".to_string())
+        );
+        let (config, _) = parse(&["--resume", "--corpus-dir", "corpus"]).unwrap();
+        assert_eq!(check_flags(&config), Ok(()));
+        let (config, _) = parse(&["--corpus-dir", "corpus"]).unwrap();
+        assert_eq!(check_flags(&config), Ok(()));
     }
 
     #[test]
