@@ -27,6 +27,13 @@
 //! execution (the scheduler's replay machinery re-runs the prefix against the
 //! live program) whose new suffix is then inserted into the trie.
 //!
+//! Inside [`crate::explore`] producers only walk, under the read lock, and
+//! hand the fold each schedule's decision path and recorded missing suffix;
+//! the fold is the only writer, inserting in serial visit order. A campaign's
+//! [`SharedCache`] is an append-only arena whose searches each account
+//! through a `View`: the load-time trie plus what the search itself charged,
+//! which is what a cache private to the search would hold.
+//!
 //! The cache is a *pure memo*: it changes which schedules are physically
 //! executed, never which schedules the search visits or what the scheduler
 //! observes, so it composes with sleep-set partial-order reduction and with
@@ -45,8 +52,7 @@ use crate::scheduler::Scheduler;
 use sct_runtime::{
     Bug, Execution, ExecutionOutcome, NoopObserver, PendingOp, SchedulingPoint, ThreadId,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{PoisonError, RwLock};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Default memory cap for a schedule cache (per technique per benchmark).
 pub const DEFAULT_CACHE_BYTES: u64 = 128 * 1024 * 1024;
@@ -205,49 +211,40 @@ impl Node {
 enum Walk {
     /// The whole decision path was cached; the terminal digest is returned.
     Hit(TerminalDigest),
-    /// The path left the trie after `depth` decisions. `record` tells the
-    /// caller whether the cache wants the missing suffix (false when the
-    /// byte cap has been reached or caching is off).
-    Miss { depth: usize, record: bool },
+    /// The path left the trie after this many decisions.
+    Miss(usize),
+}
+
+/// The fresh nodes of a missed walk's execution, from the miss depth on.
+pub(crate) struct Suffix {
+    depth: usize,
+    nodes: Vec<Node>,
+}
+
+/// What a completed schedule leaves for the fold to insert: its decision
+/// path and, after a miss, the nodes the trie lacked.
+pub(crate) struct Footprint {
+    pub(crate) path: Vec<ThreadId>,
+    pub(crate) suffix: Option<Suffix>,
 }
 
 /// A prefix-keyed memo of the deterministic program: scheduling points keyed
 /// by decision prefix, terminal digests keyed by full decision sequence. See
 /// the module documentation for how the exploration drivers use it.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ScheduleCache {
     pub(crate) nodes: Vec<Node>,
     pub(crate) terminals: Vec<TerminalDigest>,
     pub(crate) bytes: u64,
     pub(crate) max_bytes: u64,
     pub(crate) full: bool,
-    /// Atomic so [`ScheduleCache::walk`] needs only a shared borrow: stealing
-    /// workers walk a shared cache concurrently behind a read lock and only
-    /// insertions take the write lock.
-    hits: AtomicU64,
+    hits: u64,
     insertions: u64,
 }
 
 impl Default for ScheduleCache {
     fn default() -> Self {
         ScheduleCache::new(DEFAULT_CACHE_BYTES)
-    }
-}
-
-// Manual because of the atomic hit counter (cloned by value). Used by
-// [`SharedCache`] to keep a pristine copy of the load-time trie for panic
-// recovery.
-impl Clone for ScheduleCache {
-    fn clone(&self) -> Self {
-        ScheduleCache {
-            nodes: self.nodes.clone(),
-            terminals: self.terminals.clone(),
-            bytes: self.bytes,
-            max_bytes: self.max_bytes,
-            full: self.full,
-            hits: AtomicU64::new(self.hits.load(Ordering::Relaxed)),
-            insertions: self.insertions,
-        }
     }
 }
 
@@ -261,14 +258,15 @@ impl ScheduleCache {
             bytes: 0,
             max_bytes,
             full: false,
-            hits: AtomicU64::new(0),
+            hits: 0,
             insertions: 0,
         }
     }
 
-    /// Number of schedules served entirely from the cache (no execution).
+    /// Number of schedules [`run_begun_schedule`] served entirely from the
+    /// cache (no execution).
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.hits
     }
 
     /// Estimated bytes held by the trie.
@@ -281,7 +279,8 @@ impl ScheduleCache {
         self.insertions
     }
 
-    /// Whether the byte cap has been reached (insertions have stopped).
+    /// Whether the byte cap has been reached (capped insertions have
+    /// stopped; a campaign arena is capped by its searches' views instead).
     pub fn is_full(&self) -> bool {
         self.full
     }
@@ -329,15 +328,12 @@ impl ScheduleCache {
 
     /// Walk the trie, feeding the scheduler cached scheduling points, until
     /// the decision path either reaches a cached terminal (hit) or leaves the
-    /// trie (miss). On a hit the optional trace receives the full decision
-    /// path and per-step enabled counts. Takes only a shared borrow so
-    /// concurrent workers can walk one cache in parallel.
-    fn walk(&self, scheduler: &mut BoundedDfs, mut trace: Option<&mut VisitTrace>) -> Walk {
+    /// trie (miss). `path`, if given, receives the walked decisions. Takes
+    /// only a shared borrow so concurrent workers can walk one cache in
+    /// parallel.
+    fn walk(&self, scheduler: &mut BoundedDfs, mut path: Option<&mut Vec<ThreadId>>) -> Walk {
         if self.nodes.is_empty() {
-            return Walk::Miss {
-                depth: 0,
-                record: !self.full,
-            };
+            return Walk::Miss(0);
         }
         // Scratch point reused to present Forced nodes to the scheduler. The
         // synthesized fields are chosen so every scheduler-visible quantity
@@ -355,7 +351,7 @@ impl ScheduleCache {
         let mut cursor = 0usize;
         let mut depth = 0usize;
         loop {
-            let next = match &self.nodes[cursor] {
+            let (chosen, next) = match &self.nodes[cursor] {
                 Node::Forced { op, next } => {
                     scratch.enabled.clear();
                     scratch.enabled.push(op.thread);
@@ -366,76 +362,58 @@ impl ScheduleCache {
                     scratch.step_index = depth;
                     let chosen = scheduler.choose(&scratch);
                     debug_assert_eq!(chosen, op.thread, "forced node must pick its only thread");
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.schedule.push(chosen);
-                        t.enabled_counts.push(1);
-                    }
-                    if chosen == op.thread {
-                        *next
-                    } else {
-                        None
-                    }
+                    (chosen, next.filter(|_| chosen == op.thread))
                 }
                 Node::Choice { point, edges } => {
                     let chosen = scheduler.choose(point);
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.schedule.push(chosen);
-                        t.enabled_counts.push(point.enabled.len() as u32);
-                    }
-                    edges.iter().find(|(d, _)| *d == chosen).map(|(_, l)| *l)
+                    let next = edges.iter().find(|(d, _)| *d == chosen).map(|(_, l)| *l);
+                    (chosen, next)
                 }
             };
+            if let Some(path) = path.as_deref_mut() {
+                path.push(chosen);
+            }
             match next {
                 Some(Link::Interior(n)) => {
                     cursor = n as usize;
                     depth += 1;
                 }
-                Some(Link::Terminal(d)) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Walk::Hit(self.terminals[d as usize].clone());
-                }
-                None => {
-                    // The caller re-runs the schedule for real and rebuilds
-                    // the trace from the outcome.
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.schedule.clear();
-                        t.enabled_counts.clear();
-                    }
-                    return Walk::Miss {
-                        depth: depth + 1,
-                        record: !self.full,
-                    };
-                }
+                Some(Link::Terminal(d)) => return Walk::Hit(self.terminals[d as usize].clone()),
+                None => return Walk::Miss(depth + 1),
             }
         }
     }
 
-    /// Insert a completed execution: `schedule` is its full decision path,
-    /// `recorded` the fresh nodes of its scheduling points from `miss_depth`
-    /// on (the prefix below `miss_depth` is already in the trie — or, under a
-    /// shared cache, may have been inserted by another worker in the
-    /// meantime). The nodes the trie lacks are moved into it; the rest are
-    /// dropped.
+    /// Add `bytes` to the estimate; whether the cap is now reached.
+    fn charge(&mut self, bytes: u64) -> bool {
+        self.bytes += bytes;
+        self.full |= self.bytes >= self.max_bytes;
+        self.full
+    }
+
+    /// Insert a completed execution's `path`, taking the nodes the trie lacks
+    /// from `suffix` (the trie may have grown past the miss depth since the
+    /// walk, up to the whole path).
     ///
-    /// The byte cap is checked after every charged node, not once per suffix:
-    /// the moment the estimate reaches `max_bytes` the insert stops, so the
-    /// cache overshoots by at most the node that crossed the line. A
-    /// truncated path (interior nodes without their terminal) is valid trie
-    /// content — walks miss at its end and fall back to a real execution.
-    fn insert(
+    /// A `capped` insert stops the moment the estimate reaches `max_bytes`,
+    /// so the cache overshoots by at most the node that crossed the line; a
+    /// truncated path is valid content (walks miss at its end). An uncapped
+    /// insert, into a campaign arena whose views cap it instead, places the
+    /// whole path and keeps `full` consistent with `bytes`.
+    pub(crate) fn insert(
         &mut self,
-        schedule: &[ThreadId],
-        miss_depth: usize,
-        recorded: Vec<Node>,
+        path: &[ThreadId],
+        suffix: Suffix,
         digest: TerminalDigest,
+        capped: bool,
     ) {
-        if self.full || schedule.is_empty() {
+        if (capped && self.full) || path.is_empty() {
             return;
         }
-        debug_assert_eq!(miss_depth + recorded.len(), schedule.len());
-        let mut recorded = recorded.into_iter();
+        debug_assert_eq!(suffix.depth + suffix.nodes.len(), path.len());
+        let mut recorded = suffix.nodes.into_iter();
         // Depth of the node `recorded` yields next.
-        let mut head = miss_depth;
+        let mut head = suffix.depth;
         let mut node_at = |depth: usize| {
             debug_assert!(depth >= head, "missing node for cached prefix");
             let node = recorded.nth(depth - head).expect("one node per decision");
@@ -443,109 +421,80 @@ impl ScheduleCache {
             node
         };
         if self.nodes.is_empty() {
-            debug_assert_eq!(miss_depth, 0);
             let node = node_at(0);
-            self.bytes += node.weight();
+            let full = self.charge(node.weight());
             self.nodes.push(node);
-            if self.bytes >= self.max_bytes {
-                self.full = true;
+            if capped && full {
                 return;
             }
         }
         let mut cursor = 0usize;
         let mut terminal = Some(digest);
-        for (i, &t) in schedule.iter().enumerate() {
-            let is_last = i + 1 == schedule.len();
-            match self.nodes[cursor].edge(t) {
+        for (i, &t) in path.iter().enumerate() {
+            let is_last = i + 1 == path.len();
+            let link = match self.nodes[cursor].edge(t) {
                 Some(Link::Interior(n)) => {
                     debug_assert!(!is_last, "an interior edge cannot end a schedule");
                     cursor = n as usize;
+                    continue;
                 }
                 Some(Link::Terminal(_)) => {
-                    // Another worker inserted the same schedule concurrently.
                     debug_assert!(is_last, "a terminal edge cannot continue a schedule");
                     return;
                 }
-                None => {
-                    let link = if is_last {
-                        let d = self.terminals.len() as u32;
-                        self.terminals
-                            .push(terminal.take().expect("terminal digest consumed twice"));
-                        self.bytes += TERMINAL_BYTES;
-                        Link::Terminal(d)
-                    } else {
-                        let node = node_at(i + 1);
-                        self.bytes += node.weight();
-                        let n = self.nodes.len() as u32;
-                        self.nodes.push(node);
-                        Link::Interior(n)
-                    };
-                    match &mut self.nodes[cursor] {
-                        Node::Forced { op, next } => {
-                            debug_assert_eq!(t, op.thread);
-                            *next = Some(link);
-                        }
-                        Node::Choice { edges, .. } => edges.push((t, link)),
-                    }
-                    if let Link::Interior(n) = link {
-                        cursor = n as usize;
-                    }
-                    if self.bytes >= self.max_bytes {
-                        self.full = true;
-                        if !is_last {
-                            // Truncated: the rest of the suffix (and its
-                            // terminal) is dropped.
-                            return;
-                        }
-                    }
+                None if is_last => {
+                    let d = self.terminals.len() as u32;
+                    self.terminals
+                        .push(terminal.take().expect("terminal digest consumed twice"));
+                    self.charge(TERMINAL_BYTES);
+                    Link::Terminal(d)
                 }
+                None => {
+                    let node = node_at(i + 1);
+                    self.charge(node.weight());
+                    let n = self.nodes.len() as u32;
+                    self.nodes.push(node);
+                    Link::Interior(n)
+                }
+            };
+            match &mut self.nodes[cursor] {
+                Node::Forced { op, next } => {
+                    debug_assert_eq!(t, op.thread);
+                    *next = Some(link);
+                }
+                Node::Choice { edges, .. } => edges.push((t, link)),
+            }
+            if let Link::Interior(n) = link {
+                cursor = n as usize;
+            }
+            if capped && self.full && !is_last {
+                // Truncated: the rest of the suffix (and its terminal) is
+                // dropped.
+                return;
             }
         }
         self.insertions += 1;
     }
 }
 
-/// How a driver reaches its schedule cache, if any.
+// Lock poisoning is recovered, not propagated: statistics come from the
+// fold's own counts and views, never from the trie, and the harness resets a
+// shared cache to its pristine baseline after catching an engine panic
+// ([`SharedCache::restore_baseline`]).
+pub(crate) fn read(lock: &RwLock<ScheduleCache>) -> RwLockReadGuard<'_, ScheduleCache> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+pub(crate) fn write(lock: &RwLock<ScheduleCache>) -> RwLockWriteGuard<'_, ScheduleCache> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// How a caller of [`run_begun_schedule`] reaches its schedule cache, if any.
 pub enum CacheHandle<'a> {
     /// Caching disabled: every schedule executes for real.
     Off,
     /// A cache owned by one serial search.
     Local(&'a mut ScheduleCache),
-    /// A cache shared between threads. Lookups and
-    /// insertions are transparent memo operations, so sharing never changes
-    /// any result — only how many executions are physically skipped. Walks
-    /// take the read lock (they run concurrently; the hit counter is
-    /// atomic), insertions the write lock.
-    Shared(&'a RwLock<ScheduleCache>),
-}
-
-impl CacheHandle<'_> {
-    // Lock poisoning is recovered, not propagated: the cache is a pure memo,
-    // so the worst a panic-interrupted writer can leave behind is a trie that
-    // memoizes less than it could — statistics come from per-driver mirrors,
-    // never from the live trie. The harness additionally resets a shared
-    // cache to its pristine baseline after catching an engine panic
-    // ([`SharedCache::restore_baseline`]), so one blown-up technique cannot
-    // poison the rest of the study.
-    fn read<R>(&self, f: impl FnOnce(&ScheduleCache) -> R) -> Option<R> {
-        match self {
-            CacheHandle::Off => None,
-            CacheHandle::Local(cache) => Some(f(cache)),
-            CacheHandle::Shared(lock) => {
-                Some(f(&lock.read().unwrap_or_else(PoisonError::into_inner)))
-            }
-        }
-    }
-
-    fn write<R>(&mut self, f: impl FnOnce(&mut ScheduleCache) -> R) -> Option<R> {
-        match self {
-            CacheHandle::Off => None,
-            CacheHandle::Local(cache) => Some(f(cache)),
-            CacheHandle::Shared(lock) => {
-                Some(f(&mut lock.write().unwrap_or_else(PoisonError::into_inner)))
-            }
-        }
-    }
 }
 
 /// How one schedule was completed by [`run_begun_schedule`].
@@ -584,56 +533,23 @@ impl ScheduleRun {
     }
 }
 
-/// The visit-order footprint of one schedule: its full decision path and the
-/// per-step enabled-thread counts, which a [`CacheReplay`] mirror replays.
-#[derive(Debug, Default, Clone)]
-pub struct VisitTrace {
-    /// The decision at every step, in order.
-    pub schedule: Vec<ThreadId>,
-    /// Number of enabled threads at every step (determines the byte weight a
-    /// fresh trie node for that step is charged).
-    pub enabled_counts: Vec<u32>,
-}
-
-impl VisitTrace {
-    fn fill_from(&mut self, outcome: &ExecutionOutcome) {
-        self.schedule.clear();
-        self.enabled_counts.clear();
-        for step in &outcome.steps {
-            self.schedule.push(step.thread);
-            self.enabled_counts.push(step.enabled.len() as u32);
-        }
-    }
-}
-
-/// Complete the schedule the scheduler has just begun (i.e.
-/// [`BoundedDfs::begin_execution`] returned `true`): serve it from the cache
-/// when the whole decision path is memoized, otherwise execute it for real —
-/// replaying the cached prefix against the live program — and insert the new
-/// suffix. With `want_trace` the visit footprint is returned as well.
-pub fn run_begun_schedule(
+/// Complete a walked schedule: serve a hit, or execute a miss for real,
+/// recording the fresh nodes from the miss depth on when `record` is set.
+/// The footprint carries the path when `path` was collected or on a record.
+fn finish(
     exec: &mut Execution<'_>,
     scheduler: &mut BoundedDfs,
-    mut cache: CacheHandle<'_>,
-    want_trace: bool,
-) -> (ScheduleRun, Option<VisitTrace>) {
-    let mut trace = if want_trace {
-        Some(VisitTrace::default())
-    } else {
-        None
-    };
-    let walk = cache
-        .read(|c| c.walk(scheduler, trace.as_mut()))
-        .unwrap_or(Walk::Miss {
-            depth: 0,
-            record: false,
-        });
-    let (miss_depth, record) = match walk {
+    walk: Walk,
+    record: bool,
+    path: Option<Vec<ThreadId>>,
+) -> (ScheduleRun, Option<Footprint>) {
+    let depth = match walk {
         Walk::Hit(digest) => {
             scheduler.finish_cached_execution();
-            return (ScheduleRun::Served(digest), trace);
+            let footprint = path.map(|path| Footprint { path, suffix: None });
+            return (ScheduleRun::Served(digest), footprint);
         }
-        Walk::Miss { depth, record } => (depth, record),
+        Walk::Miss(depth) => depth,
     };
     // The walk may have consumed part (or, with an empty cache, none) of the
     // replay prefix; rewind the scheduler's cursor and run the program for
@@ -641,12 +557,12 @@ pub fn run_begun_schedule(
     // the live scheduling points.
     scheduler.rewind_replay();
     exec.reset();
-    let mut recorded: Vec<Node> = Vec::new();
+    let mut nodes: Vec<Node> = Vec::new();
     let mut step = 0usize;
     let outcome = exec.run(
         &mut |point| {
-            if record && step >= miss_depth {
-                recorded.push(Node::of_point(point));
+            if record && step >= depth {
+                nodes.push(Node::of_point(point));
             }
             step += 1;
             scheduler.choose(point)
@@ -654,148 +570,163 @@ pub fn run_begun_schedule(
         &mut NoopObserver,
     );
     scheduler.end_execution(&outcome);
-    if record {
-        let digest = TerminalDigest::of(&outcome);
-        let schedule = outcome.schedule();
-        cache.write(|c| c.insert(&schedule, miss_depth, recorded, digest));
-    }
-    if let Some(t) = trace.as_mut() {
-        t.fill_from(&outcome);
-    }
-    (ScheduleRun::Executed(outcome), trace)
+    let footprint = (record || path.is_some()).then(|| Footprint {
+        path: outcome.schedule(),
+        suffix: record.then_some(Suffix { depth, nodes }),
+    });
+    (ScheduleRun::Executed(outcome), footprint)
 }
 
-/// A structure-only mirror of [`ScheduleCache`]: it tracks which decision
-/// paths a cache private to one serial search would hold — and the hit and
-/// byte counters it would report — without storing any point data. A search
-/// over a trie other threads share replays its own visit stream through one,
-/// so its `cache_hits` / `cache_bytes` / `executions` statistics do not
-/// depend on how those threads interleaved.
-#[derive(Debug, Clone)]
-pub struct CacheReplay {
-    /// Edge lists per node; `None` target marks a terminal edge.
-    nodes: Vec<Vec<(ThreadId, Option<u32>)>>,
-    bytes: u64,
-    max_bytes: u64,
-    full: bool,
-    hits: u64,
+/// Complete the schedule the scheduler has just begun (i.e.
+/// [`BoundedDfs::begin_execution`] returned `true`): serve it from the cache
+/// when the whole decision path is memoized, otherwise execute it for real —
+/// replaying the cached prefix against the live program — and insert the new
+/// suffix. With `want_path` the schedule's decision path is returned as well.
+pub fn run_begun_schedule(
+    exec: &mut Execution<'_>,
+    scheduler: &mut BoundedDfs,
+    cache: CacheHandle<'_>,
+    want_path: bool,
+) -> (ScheduleRun, Option<Vec<ThreadId>>) {
+    let mut path = want_path.then(Vec::new);
+    let (walk, record, cache) = match cache {
+        CacheHandle::Off => (Walk::Miss(0), false, None),
+        CacheHandle::Local(c) => {
+            let walk = c.walk(scheduler, path.as_mut());
+            c.hits += u64::from(matches!(walk, Walk::Hit(_)));
+            (walk, !c.full, Some(c))
+        }
+    };
+    let (run, footprint) = finish(exec, scheduler, walk, record, path);
+    let path = footprint.map(|Footprint { path, suffix }| {
+        if let (Some(suffix), Some(c)) = (suffix, cache) {
+            c.insert(&path, suffix, run.digest(), true);
+        }
+        path
+    });
+    (run, path.filter(|_| want_path))
 }
 
-impl CacheReplay {
-    /// A replay mirror with the same byte cap as the real cache.
-    pub fn new(max_bytes: u64) -> Self {
-        CacheReplay {
-            nodes: Vec::new(),
-            bytes: 0,
-            max_bytes,
-            full: false,
-            hits: 0,
+/// The trie a producer of [`crate::explore`] walks, read-only.
+#[derive(Clone, Copy)]
+pub(crate) struct Walker<'a> {
+    pub(crate) trie: &'a RwLock<ScheduleCache>,
+    /// A campaign arena, capped by each search's view instead of its own
+    /// budget: every miss is recorded, and every visit returns the path the
+    /// view charges. A private trie records misses while it has room.
+    pub(crate) arena: bool,
+}
+
+/// Complete a begun schedule for a producer of [`crate::explore`]: walk the
+/// trie under its read lock and, on a miss, execute and record the missing
+/// suffix. Nothing is written: the footprint is the fold's to insert.
+pub(crate) fn complete(
+    exec: &mut Execution<'_>,
+    scheduler: &mut BoundedDfs,
+    walker: Option<Walker<'_>>,
+) -> (ScheduleRun, Option<Footprint>) {
+    let Some(Walker { trie, arena }) = walker else {
+        return finish(exec, scheduler, Walk::Miss(0), false, None);
+    };
+    let mut path = arena.then(Vec::new);
+    let (walk, record) = {
+        let trie = read(trie);
+        (trie.walk(scheduler, path.as_mut()), arena || !trie.full)
+    };
+    finish(exec, scheduler, walk, record, path)
+}
+
+/// A growable bitset over arena indices; every index below `base` counts as
+/// set.
+#[derive(Debug)]
+struct Marks {
+    base: u32,
+    words: Vec<u64>,
+}
+
+impl Marks {
+    fn contains(&self, i: u32) -> bool {
+        let Some(k) = i.checked_sub(self.base).map(|k| k as usize) else {
+            return true;
+        };
+        self.words
+            .get(k / 64)
+            .is_some_and(|w| w >> (k % 64) & 1 == 1)
+    }
+
+    fn insert(&mut self, i: u32) {
+        let k = (i - self.base) as usize;
+        if self.words.len() <= k / 64 {
+            self.words.resize(k / 64 + 1, 0);
         }
+        self.words[k / 64] |= 1 << (k % 64);
     }
+}
 
-    /// A structure-only snapshot of an existing cache: same decision paths,
-    /// same byte estimate and fullness, hit counter reset to zero. A driver
-    /// resuming from a loaded corpus replays its own visit stream through
-    /// such a snapshot so its reported `executions` / `cache_hits` /
-    /// `cache_bytes` depend only on the loaded baseline and the (serial)
-    /// visit order — not on how concurrent techniques sharing the live cache
-    /// happened to interleave.
-    pub fn from_cache(cache: &ScheduleCache) -> Self {
-        let nodes = cache
-            .nodes
-            .iter()
-            .map(|node| {
-                node.links()
-                    .map(|(t, link)| match link {
-                        Link::Interior(n) => (t, Some(n)),
-                        Link::Terminal(_) => (t, None),
-                    })
-                    .collect()
-            })
-            .collect();
-        CacheReplay {
-            nodes,
-            bytes: cache.bytes,
-            max_bytes: cache.max_bytes,
-            full: cache.full,
-            hits: 0,
-        }
-    }
+/// One campaign search's account of the shared arena: the part of it a cache
+/// private to the search would hold — the arena's load-time content plus
+/// what the search itself charged — with that cache's byte accounting. It
+/// depends only on the loaded trie and the search's own visit stream, never
+/// on what the benchmark's other searches appended.
+#[derive(Debug)]
+pub(crate) struct View {
+    nodes: Marks,
+    terminals: Marks,
+    /// The private cache's byte estimate and fullness so far.
+    pub(crate) bytes: u64,
+    pub(crate) full: bool,
+}
 
-    /// Hits the serial cache would have reported so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Bytes the serial cache would have charged so far.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Whether the mirrored byte cap has been reached (insertions have
-    /// stopped, exactly as [`ScheduleCache::is_full`] would report).
-    pub fn is_full(&self) -> bool {
+impl View {
+    fn charge(&mut self, bytes: u64, max_bytes: u64) -> bool {
+        self.bytes += bytes;
+        self.full |= self.bytes >= max_bytes;
         self.full
     }
 
-    /// Replay one visited schedule. Returns `true` when the serial cache
-    /// would have served it (a hit: no program execution), `false` when the
-    /// serial driver would have executed it (the path is then inserted,
-    /// unless the byte cap has been reached — mirroring
-    /// `ScheduleCache::insert` exactly).
-    pub fn apply(&mut self, schedule: &[ThreadId], enabled_counts: &[u32]) -> bool {
-        debug_assert_eq!(schedule.len(), enabled_counts.len());
-        // Walk as far as the trie goes.
-        let mut cursor = 0usize;
+    /// Charge one folded schedule against the arena after the fold's insert.
+    /// Returns `true` when the private cache would have served it (its path
+    /// ends at a terminal the view holds); otherwise charges the rest of the
+    /// path exactly as a capped [`ScheduleCache::insert`] would.
+    pub(crate) fn apply(&mut self, arena: &ScheduleCache, path: &[ThreadId]) -> bool {
+        let rooted = self.nodes.contains(0);
+        let mut cursor = 0u32;
         let mut matched = 0usize;
-        if !self.nodes.is_empty() {
-            for (i, &t) in schedule.iter().enumerate() {
-                let is_last = i + 1 == schedule.len();
-                match self.nodes[cursor].iter().find(|(d, _)| *d == t) {
-                    Some((_, Some(n))) => {
-                        debug_assert!(!is_last);
-                        cursor = *n as usize;
-                        matched = i + 1;
+        if rooted {
+            for &t in path {
+                match arena.nodes[cursor as usize].edge(t) {
+                    Some(Link::Interior(n)) if self.nodes.contains(n) => {
+                        cursor = n;
+                        matched += 1;
                     }
-                    Some((_, None)) => {
-                        debug_assert!(is_last);
-                        self.hits += 1;
-                        return true;
-                    }
-                    None => break,
+                    Some(Link::Terminal(d)) if self.terminals.contains(d) => return true,
+                    _ => break,
                 }
             }
         }
-        // Miss: the serial driver executes the schedule and inserts it.
-        if self.full || schedule.is_empty() {
+        if self.full || path.is_empty() {
             return false;
         }
-        if self.nodes.is_empty() {
-            self.bytes += node_weight(enabled_counts[0] as usize);
-            self.nodes.push(Vec::new());
-            cursor = 0;
-            matched = 0;
-            if self.bytes >= self.max_bytes {
-                self.full = true;
+        if !rooted {
+            self.nodes.insert(0);
+            if self.charge(arena.nodes[0].weight(), arena.max_bytes) {
                 return false;
             }
         }
-        for (i, &t) in schedule.iter().enumerate().skip(matched) {
-            let is_last = i + 1 == schedule.len();
-            if is_last {
-                self.nodes[cursor].push((t, None));
-                self.bytes += TERMINAL_BYTES;
-            } else {
-                self.bytes += node_weight(enabled_counts[i + 1] as usize);
-                let n = self.nodes.len() as u32;
-                self.nodes.push(Vec::new());
-                self.nodes[cursor].push((t, Some(n)));
-                cursor = n as usize;
-            }
-            if self.bytes >= self.max_bytes {
-                // Same per-node cap as [`ScheduleCache::insert`]: stop after
-                // the node that crossed the line.
-                self.full = true;
+        for &t in &path[matched..] {
+            let link = arena.nodes[cursor as usize].edge(t);
+            let weight = match link.expect("the fold inserts every path a view charges") {
+                Link::Interior(n) => {
+                    self.nodes.insert(n);
+                    cursor = n;
+                    arena.nodes[n as usize].weight()
+                }
+                Link::Terminal(d) => {
+                    self.terminals.insert(d);
+                    TERMINAL_BYTES
+                }
+            };
+            if self.charge(weight, arena.max_bytes) {
                 break;
             }
         }
@@ -806,33 +737,26 @@ impl CacheReplay {
 /// A schedule cache shared across the techniques of one benchmark (and, when
 /// resuming, loaded from a persistent corpus — see [`crate::corpus`]).
 ///
-/// The `live` trie is the real memo every driver walks and inserts into; the
-/// `baseline` is a frozen [`CacheReplay`] snapshot taken at construction.
-/// Each corpus-mode driver clones the baseline via [`SharedCache::mirror`]
-/// and replays its own visit stream through the clone, reporting the
-/// mirror's hit/byte counters. Counters therefore depend only on the loaded
-/// baseline and each technique's deterministic visit order, never on how the
-/// techniques' live-cache operations interleaved.
+/// The `live` trie is an append-only arena: every search walks it, the fold
+/// of the running search inserts into it, and each search accounts through a
+/// `View` started from the load-time trie. The harness runs a benchmark's
+/// campaign searches one at a time.
 #[derive(Debug)]
 pub struct SharedCache {
     live: RwLock<ScheduleCache>,
-    baseline: CacheReplay,
-    /// A full copy of the load-time trie (digests included, unlike the
-    /// structure-only `baseline`), kept so a panic-poisoned live trie can be
-    /// rolled back to known-good contents ([`SharedCache::restore_baseline`]).
+    /// A full copy of the load-time trie: the extent every view starts from,
+    /// and the known-good contents a panic-poisoned live trie is rolled back
+    /// to ([`SharedCache::restore_baseline`]).
     pristine: ScheduleCache,
 }
 
 impl SharedCache {
-    /// Wrap an existing (possibly freshly loaded) cache, freezing its
+    /// Wrap an existing (possibly freshly loaded) cache, recording its
     /// current contents as the accounting baseline.
     pub fn of(cache: ScheduleCache) -> Self {
-        let baseline = CacheReplay::from_cache(&cache);
-        let pristine = cache.clone();
         SharedCache {
+            pristine: cache.clone(),
             live: RwLock::new(cache),
-            baseline,
-            pristine,
         }
     }
 
@@ -841,20 +765,31 @@ impl SharedCache {
         SharedCache::of(ScheduleCache::new(max_bytes))
     }
 
-    /// The live trie, for walking/inserting behind the lock.
+    /// The live trie, for walking behind the lock.
     pub fn live(&self) -> &RwLock<ScheduleCache> {
         &self.live
     }
 
-    /// A fresh accounting mirror seeded with the load-time baseline.
-    pub fn mirror(&self) -> CacheReplay {
-        self.baseline.clone()
+    /// A fresh view of the load-time trie, for one search to account
+    /// through.
+    pub(crate) fn view(&self) -> View {
+        let base = &self.pristine;
+        let marks = |base: usize| Marks {
+            base: base as u32,
+            words: Vec::new(),
+        };
+        View {
+            nodes: marks(base.nodes.len()),
+            terminals: marks(base.terminals.len()),
+            bytes: base.bytes,
+            full: base.full,
+        }
     }
 
     /// Run `f` on the live trie under the read lock (e.g. to serialize it).
     /// A poisoned lock is recovered, not propagated (see [`CacheHandle`]).
     pub fn with_live<R>(&self, f: impl FnOnce(&ScheduleCache) -> R) -> R {
-        f(&self.live.read().unwrap_or_else(PoisonError::into_inner))
+        f(&read(&self.live))
     }
 
     /// Roll the live trie back to the pristine load-time contents and clear
@@ -862,11 +797,10 @@ impl SharedCache {
     /// panic: a writer that unwound mid-insert may have left the trie
     /// structurally inconsistent, and a corrupt memo — unlike a merely stale
     /// one — could serve wrong digests. Memoized work from after load time is
-    /// lost (a pure perf cost); subsequent techniques see exactly the
-    /// baseline, so their mirror-reported counters stay correct.
+    /// lost (a pure perf cost); the next search's view starts from exactly
+    /// the restored contents.
     pub fn restore_baseline(&self) {
-        let mut live = self.live.write().unwrap_or_else(PoisonError::into_inner);
-        *live = self.pristine.clone();
+        *write(&self.live) = self.pristine.clone();
         self.live.clear_poison();
     }
 }
@@ -929,7 +863,6 @@ mod tests {
             let borrowed = match &mut handle {
                 CacheHandle::Off => CacheHandle::Off,
                 CacheHandle::Local(c) => CacheHandle::Local(c),
-                CacheHandle::Shared(m) => CacheHandle::Shared(m),
             };
             let (run, _) = run_begun_schedule(&mut exec, &mut scheduler, borrowed, false);
             if matches!(run, ScheduleRun::Executed(_)) {
@@ -1009,50 +942,121 @@ mod tests {
         assert_eq!(cache.hits(), 0, "a terminal-less trie has nothing to serve");
     }
 
-    /// Satellite: the byte cap is enforced per node during insert, so the
-    /// estimate overshoots `max_bytes` by at most the single node that
-    /// crossed the line — for every cap, while staying transparent and with
-    /// the [`CacheReplay`] mirror bit-identical on bytes and hits.
+    /// The caps the view tests run at: one byte (the first node crosses it)
+    /// up to a cap the figure-1 searches never reach.
+    const CAPS: [u64; 9] = [1, 57, 96, 112, 200, 500, 1_000, 5_000, 20_000];
+
+    /// Delay bounds 0 to 2: the search every view test accounts for.
+    const DELAY_LEVELS: &[(BoundKind, u32)] = &[
+        (BoundKind::Delay, 0),
+        (BoundKind::Delay, 1),
+        (BoundKind::Delay, 2),
+    ];
+
+    /// Preemption bounds 0 and 1: the sibling search that grows the arena
+    /// with its own paths first.
+    const SIBLING_LEVELS: &[(BoundKind, u32)] =
+        &[(BoundKind::Preemption, 0), (BoundKind::Preemption, 1)];
+
+    /// Drive the bound levels `levels` through a private cache with
+    /// [`run_begun_schedule`]: the reference every view must match.
+    fn private_search(
+        program: &Program,
+        cache: &mut ScheduleCache,
+        levels: &[(BoundKind, u32)],
+        por: bool,
+    ) {
+        let config = ExecConfig::all_visible();
+        let mut exec = Execution::new_shared(program, &config);
+        for &(kind, bound) in levels {
+            let mut dfs = BoundedDfs::new(kind.policy(), bound).with_sleep_sets(por);
+            while dfs.begin_execution() {
+                run_begun_schedule(&mut exec, &mut dfs, CacheHandle::Local(cache), false);
+            }
+        }
+    }
+
+    /// Drive the bound levels `levels` as one campaign search over `shared`,
+    /// folded by the fold's rule: each schedule walks the arena, its
+    /// footprint is inserted uncapped while `view` has room, and the view
+    /// charges it. Returns the schedules the view would have served and the
+    /// arena's physical hits, which never fall below them.
+    fn viewed_search(
+        program: &Program,
+        shared: &SharedCache,
+        view: &mut View,
+        levels: &[(BoundKind, u32)],
+        por: bool,
+    ) -> (u64, u64) {
+        let config = ExecConfig::all_visible();
+        let mut exec = Execution::new_shared(program, &config);
+        let (mut hits, mut physical) = (0, 0);
+        for &(kind, bound) in levels {
+            let mut dfs = BoundedDfs::new(kind.policy(), bound).with_sleep_sets(por);
+            while dfs.begin_execution() {
+                let walker = Walker {
+                    trie: shared.live(),
+                    arena: true,
+                };
+                let (run, footprint) = complete(&mut exec, &mut dfs, Some(walker));
+                physical += u64::from(matches!(run, ScheduleRun::Served(_)));
+                let Footprint { path, suffix } = footprint.expect("an arena walk returns its path");
+                if let (false, Some(suffix)) = (view.full, suffix) {
+                    write(shared.live()).insert(&path, suffix, run.digest(), false);
+                }
+                hits += u64::from(shared.with_live(|arena| view.apply(arena, &path)));
+            }
+        }
+        assert!(physical >= hits, "a view hit the arena could not serve");
+        (hits, physical)
+    }
+
+    /// Grow `shared` with the sibling search's paths, through the sibling's
+    /// own view, then run `levels` through a fresh view. Returns that view,
+    /// its hits and the arena's physical hits during the second search.
+    fn after_sibling(
+        program: &Program,
+        shared: &SharedCache,
+        levels: &[(BoundKind, u32)],
+        por: bool,
+    ) -> (View, u64, u64) {
+        viewed_search(program, shared, &mut shared.view(), SIBLING_LEVELS, por);
+        let mut view = shared.view();
+        let (hits, physical) = viewed_search(program, shared, &mut view, levels, por);
+        (view, hits, physical)
+    }
+
+    /// The view (with `view_hits`) reports what the private cache reports.
+    fn assert_mirrors(view: (&View, u64), cache: &ScheduleCache, hits: u64, ctx: &str) {
+        let (view, view_hits) = view;
+        assert_eq!(view_hits, hits, "{ctx}: view hits drifted");
+        assert_eq!(view.bytes, cache.bytes(), "{ctx}: view bytes drifted");
+        assert_eq!(view.full, cache.is_full(), "{ctx}: view fullness drifted");
+    }
+
+    /// The byte cap is enforced per node during insert, so the estimate
+    /// overshoots `max_bytes` by at most the single node that crossed the
+    /// line — for every cap, while staying transparent. A view of an arena a
+    /// sibling search already grew reports the same bytes, hits and
+    /// fullness as the capped private cache.
     #[test]
     fn tiny_caps_overshoot_by_at_most_one_node_and_mirror_exactly() {
         let prog = figure1();
-        let config = ExecConfig::all_visible();
         let (plain, _) = run_level(&prog, 2, false, None);
         // Largest single charge possible: a choice node over every thread the
         // program can enable, or a terminal digest.
         let worst_node = node_weight(8).max(TERMINAL_BYTES);
-        for cap in [1u64, 57, 96, 112, 200, 500, 1_000, 5_000, 20_000] {
+        for cap in CAPS {
             let mut cache = ScheduleCache::new(cap);
-            let mut replay = CacheReplay::new(cap);
-            let mut exec = Execution::new_shared(&prog, &config);
-            for bound in 0..3u32 {
-                let mut scheduler = BoundedDfs::new(Box::new(DelayBound), bound);
-                while scheduler.begin_execution() {
-                    let (_, trace) = run_begun_schedule(
-                        &mut exec,
-                        &mut scheduler,
-                        CacheHandle::Local(&mut cache),
-                        true,
-                    );
-                    let trace = trace.expect("trace requested");
-                    replay.apply(&trace.schedule, &trace.enabled_counts);
-                }
-            }
+            private_search(&prog, &mut cache, DELAY_LEVELS, false);
             assert!(
                 cache.bytes() <= cap + worst_node,
                 "cap {cap} overshot: bytes {} > {cap} + {worst_node}",
                 cache.bytes()
             );
-            assert_eq!(
-                replay.bytes(),
-                cache.bytes(),
-                "mirror bytes drifted at cap {cap}"
-            );
-            assert_eq!(
-                replay.hits(),
-                cache.hits(),
-                "mirror hits drifted at cap {cap}"
-            );
+            let shared = SharedCache::new(cap);
+            let (view, hits, _) = after_sibling(&prog, &shared, DELAY_LEVELS, false);
+            assert_mirrors((&view, hits), &cache, cache.hits(), &format!("cap {cap}"));
             // And the capped cache is still transparent.
             let mut capped = ScheduleCache::new(cap);
             let (cached, _) = run_level(&prog, 2, false, Some(&mut capped));
@@ -1062,9 +1066,8 @@ mod tests {
 
     /// One execution of `program` in the shape `insert` takes it: the
     /// schedule, a fresh node per scheduling point, the enabled-thread
-    /// counts [`CacheReplay::apply`] takes, and the terminal digest. It
-    /// follows round robin, except that at step `divert` it picks the last
-    /// enabled thread.
+    /// counts and the terminal digest. It follows round robin, except that
+    /// at step `divert` it picks the last enabled thread.
     fn recorded_run(
         program: &Program,
         divert: usize,
@@ -1115,27 +1118,31 @@ mod tests {
         assert_ne!(a[divert], b[divert], "the diverted step must differ");
 
         let mut cache = ScheduleCache::default();
-        let mut replay = CacheReplay::new(DEFAULT_CACHE_BYTES);
-        // Both inserts claim a miss at the root, as a worker whose walk ran
-        // before another worker's insert landed would.
-        cache.insert(&a, 0, a_nodes, a_digest.clone());
-        replay.apply(&a, &a_counts);
-        assert_eq!(cache.bytes(), replay.bytes());
-        let before = cache.bytes();
-        cache.insert(&b, 0, b_nodes, b_digest.clone());
-        replay.apply(&b, &b_counts);
+        let shared = SharedCache::new(DEFAULT_CACHE_BYTES);
+        viewed_search(&prog, &shared, &mut shared.view(), SIBLING_LEVELS, false);
+        let mut view = shared.view();
+        // Both inserts claim a miss at the root, as a stealing worker whose
+        // walk ran before the fold inserted an earlier visit would.
+        let mut insert = |path: &[ThreadId], nodes: &[Node], digest: &TerminalDigest| {
+            let suffix = |nodes: &[Node]| Suffix {
+                depth: 0,
+                nodes: nodes.to_vec(),
+            };
+            cache.insert(path, suffix(nodes), digest.clone(), true);
+            write(shared.live()).insert(path, suffix(nodes), digest.clone(), false);
+            let served = shared.with_live(|arena| view.apply(arena, path));
+            assert!(!served, "a fresh path cannot be served");
+            (cache.bytes(), cache.insertions())
+        };
+        let (before, _) = insert(&a, &a_nodes, &a_digest);
+        let (after, insertions) = insert(&b, &b_nodes, &b_digest);
         let suffix: u64 = b_counts[divert + 1..]
             .iter()
             .map(|&n| node_weight(n as usize))
             .sum::<u64>()
             + TERMINAL_BYTES;
-        assert_eq!(
-            cache.bytes() - before,
-            suffix,
-            "the shared prefix was charged"
-        );
-        assert_eq!(cache.bytes(), replay.bytes(), "mirror bytes drifted");
-        assert_eq!(cache.insertions(), 2);
+        assert_eq!(after - before, suffix, "the shared prefix was charged");
+        assert_eq!(insertions, 2);
         // Each path leads through nodes of its own points to its own digest.
         let follow = |schedule: &[ThreadId], counts: &[u32]| {
             let mut cursor = 0usize;
@@ -1153,53 +1160,48 @@ mod tests {
         assert_eq!(follow(&a, &a_counts), a_digest);
         assert_eq!(follow(&b, &b_counts), b_digest);
 
-        // A schedule already in the trie changes nothing.
+        // A schedule already in the trie changes nothing, and the view now
+        // serves it.
         let (_, again, _, _) = recorded_run(&prog, usize::MAX);
-        cache.insert(&a, 0, again, a_digest);
-        assert_eq!(cache.bytes(), replay.bytes());
-        assert_eq!(cache.insertions(), 2);
+        let suffix = Suffix {
+            depth: 0,
+            nodes: again,
+        };
+        cache.insert(&a, suffix, a_digest, true);
+        assert_eq!((cache.bytes(), cache.insertions()), (after, 2));
+        assert!(
+            shared.with_live(|arena| view.apply(arena, &a)),
+            "the view must hit it"
+        );
+        assert_mirrors((&view, 1), &cache, 1, "racing inserts");
     }
 
     #[test]
     fn a_mirror_snapshot_of_a_cache_replays_like_the_cache_it_copied() {
+        // A view of a loaded trie starts from exactly the loaded content and
+        // then accounts like a private copy of it, however far a sibling
+        // search grew the arena in between.
         let prog = figure1();
-        let mut cache = ScheduleCache::default();
-        let (_, _) = run_level(&prog, 0, false, Some(&mut cache));
-        let shared = SharedCache::of(cache);
-        let mut mirror = shared.mirror();
-        assert_eq!(mirror.hits(), 0, "snapshot must reset the hit counter");
-        assert_eq!(mirror.bytes(), shared.with_live(|c| c.bytes()));
+        for cap in CAPS {
+            let mut cache = ScheduleCache::new(cap);
+            private_search(&prog, &mut cache, &DELAY_LEVELS[..1], false);
+            let shared = SharedCache::of(cache.clone());
+            let fresh = shared.view();
+            assert_eq!(fresh.bytes, cache.bytes(), "cap {cap}");
+            assert_eq!(fresh.full, cache.is_full(), "cap {cap}");
 
-        // Replaying the level-0 visit stream through the snapshot hits every
-        // schedule the live cache can serve and misses the rest, exactly as
-        // the live cache does.
-        let config = ExecConfig::all_visible();
-        let mut exec = Execution::new_shared(&prog, &config);
-        let mut scheduler = BoundedDfs::new(Box::new(DelayBound), 1);
-        let (mut live_hits, mut mirror_hits) = (0u64, 0u64);
-        while scheduler.begin_execution() {
-            let before = shared.with_live(|c| c.hits());
-            let (_, trace) = run_begun_schedule(
-                &mut exec,
-                &mut scheduler,
-                CacheHandle::Shared(shared.live()),
-                true,
-            );
-            live_hits += shared.with_live(|c| c.hits()) - before;
-            let trace = trace.expect("trace requested");
-            if mirror.apply(&trace.schedule, &trace.enabled_counts) {
-                mirror_hits += 1;
-            }
+            let loaded_hits = cache.hits();
+            private_search(&prog, &mut cache, &DELAY_LEVELS[1..], false);
+            let (view, hits, _) = after_sibling(&prog, &shared, &DELAY_LEVELS[1..], false);
+            let ctx = format!("cap {cap}");
+            assert_mirrors((&view, hits), &cache, cache.hits() - loaded_hits, &ctx);
         }
-        assert!(live_hits > 0, "level 1 must serve the level-0 interior");
-        assert_eq!(mirror_hits, live_hits, "mirror and live cache disagree");
-        assert_eq!(mirror.bytes(), shared.with_live(|c| c.bytes()));
     }
 
     /// A technique unit panicking while it holds the live write lock poisons
     /// the `RwLock`; the recovery path must bring the shared trie back to
-    /// its load-time contents, clear the poison, and keep the mirror
-    /// snapshot consistent with the restored live cache.
+    /// its load-time contents, clear the poison, and start the next view
+    /// from the restored contents.
     #[test]
     fn restore_baseline_recovers_a_poisoned_live_lock_to_the_loaded_contents() {
         let prog = figure1();
@@ -1208,6 +1210,8 @@ mod tests {
         let loaded_bytes = cache.bytes();
         assert!(loaded_bytes > 0, "the level-0 interior must be non-empty");
         let shared = SharedCache::of(cache);
+        viewed_search(&prog, &shared, &mut shared.view(), SIBLING_LEVELS, false);
+        assert!(shared.with_live(|arena| arena.bytes()) > loaded_bytes);
 
         let unit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut live = shared.live().write().unwrap();
@@ -1220,35 +1224,31 @@ mod tests {
         shared.restore_baseline();
         assert!(!shared.live().is_poisoned(), "recovery must clear poison");
         assert_eq!(shared.with_live(|c| c.bytes()), loaded_bytes);
+        let view = shared.view();
         assert_eq!(
-            shared.mirror().bytes(),
-            loaded_bytes,
-            "the mirror must still describe the restored live contents"
+            (view.bytes, view.full),
+            (loaded_bytes, false),
+            "a fresh view must describe the restored live contents"
         );
     }
 
     #[test]
     fn replay_mirror_reproduces_hits_and_bytes_of_the_real_cache() {
+        // Uncapped, with and without sleep sets: the view's counters equal
+        // the private cache's, while the arena the sibling grew serves
+        // strictly more walks than the view counts as hits.
         let prog = figure1();
-        let config = ExecConfig::all_visible();
-        let mut exec = Execution::new_shared(&prog, &config);
-        let mut cache = ScheduleCache::default();
-        let mut replay = CacheReplay::new(DEFAULT_CACHE_BYTES);
-        for bound in 0..3u32 {
-            let mut scheduler = BoundedDfs::new(Box::new(DelayBound), bound);
-            while scheduler.begin_execution() {
-                let (_, trace) = run_begun_schedule(
-                    &mut exec,
-                    &mut scheduler,
-                    CacheHandle::Local(&mut cache),
-                    true,
-                );
-                let trace = trace.expect("trace requested");
-                replay.apply(&trace.schedule, &trace.enabled_counts);
-            }
+        for por in [false, true] {
+            let mut cache = ScheduleCache::default();
+            private_search(&prog, &mut cache, DELAY_LEVELS, por);
+            assert!(cache.hits() > 0);
+            let shared = SharedCache::new(DEFAULT_CACHE_BYTES);
+            let (view, hits, physical) = after_sibling(&prog, &shared, DELAY_LEVELS, por);
+            assert_mirrors((&view, hits), &cache, cache.hits(), &format!("por={por}"));
+            assert!(
+                physical > hits,
+                "por={por}: the sibling's paths must serve walks the view charges"
+            );
         }
-        assert!(cache.hits() > 0);
-        assert_eq!(replay.hits(), cache.hits(), "replay hit count drifted");
-        assert_eq!(replay.bytes(), cache.bytes(), "replay byte count drifted");
     }
 }

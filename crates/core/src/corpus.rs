@@ -79,6 +79,10 @@ pub enum CorpusError {
     /// The file is structurally invalid (truncated, bad indices, accounting
     /// mismatch, ...).
     Corrupted { path: PathBuf, detail: String },
+    /// A saved bug record no longer reproduces its bug: the program or the
+    /// engine changed since the corpus was built, so its trie cannot be
+    /// trusted either.
+    Stale { path: PathBuf, detail: String },
 }
 
 impl fmt::Display for CorpusError {
@@ -106,6 +110,12 @@ impl fmt::Display for CorpusError {
             CorpusError::Corrupted { path, detail } => {
                 write!(f, "{}: corrupted corpus file: {detail}", path.display())
             }
+            CorpusError::Stale { path, detail } => write!(
+                f,
+                "{}: stale corpus: {detail}; the program or engine changed since it was \
+                 saved, so delete the corpus directory and rerun cold (without --resume)",
+                path.display()
+            ),
         }
     }
 }
@@ -974,6 +984,38 @@ impl Corpus {
             Err(e) => return Err(CorpusError::Io(e)),
         };
         bugs_from_bytes(&data, &path).map(Some)
+    }
+
+    /// Check, before a resume serves anything, that every bug recorded for
+    /// `benchmark` still reproduces: replay each record's prefix under
+    /// `config`, one execution per record. A missing bug file passes. A
+    /// record that replays to another bug, or to none, is
+    /// [`CorpusError::Stale`].
+    pub fn audit_bugs(
+        &self,
+        benchmark: &str,
+        program: &Program,
+        config: &ExecConfig,
+    ) -> Result<(), CorpusError> {
+        let Some(bugs) = self.load_bugs(benchmark)? else {
+            return Ok(());
+        };
+        let mut exec = Execution::new_shared(program, config);
+        for (i, record) in bugs.records.iter().enumerate() {
+            let replayed = run_prefix(&mut exec, &record.prefix).bug;
+            if replayed.as_ref() != Some(&record.bug) {
+                return Err(CorpusError::Stale {
+                    path: self.bugs_path(benchmark),
+                    detail: format!(
+                        "record {i} ({} decisions) was saved as {} but replays to {}",
+                        record.prefix.len(),
+                        record.bug,
+                        replayed.map_or("no bug".to_string(), |bug| bug.to_string())
+                    ),
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Atomically save a bug corpus.

@@ -2,7 +2,7 @@
 //!
 //! A producer yields one visit per completed schedule, in the serial visit
 //! order of its search. There are three: a [`BoundedDfs`] run inline on the
-//! calling thread through [`cache::run_begun_schedule`]; any [`Scheduler`]
+//! calling thread, walking the search's schedule trie; any [`Scheduler`]
 //! (Rand, PCT, MapleAlg, or whatever [`explore_with`] is handed); and the
 //! work-stealing engine of [`crate::steal`], which splits one bounded DFS
 //! across threads and streams its visits back in the same serial order. A
@@ -19,11 +19,14 @@
 //! fold, which counts only the schedules new at each bound. Because every
 //! producer yields the same visit stream, the statistics are bit-identical
 //! whichever producer runs a search.
+//!
+//! The fold is also the only writer of a schedule trie: producers only walk
+//! it, and the fold inserts each visit's footprint in serial visit order, so
+//! a trie is node for node the serial search's at any worker count.
 
 use crate::bounds::BoundKind;
 use crate::cache::{
-    self, CacheHandle, CacheReplay, ScheduleCache, ScheduleRun, SharedCache, TerminalDigest,
-    VisitTrace,
+    self, Footprint, ScheduleCache, ScheduleRun, SharedCache, TerminalDigest, View, Walker,
 };
 use crate::dfs::BoundedDfs;
 use crate::maple::MapleLikeScheduler;
@@ -67,10 +70,9 @@ pub struct ExploreLimits {
     /// benchmark (and, when resuming, pre-loaded from a persistent corpus —
     /// see [`crate::corpus`]). When set, the systematic searches (DFS, IPB,
     /// IDB) walk and grow this cache instead of a private per-run one, and
-    /// report cache counters through a per-search [`cache::CacheReplay`]
-    /// mirror seeded from the load-time baseline, so the statistics stay
-    /// deterministic no matter how concurrently-running techniques interleave
-    /// on the live trie. Takes precedence over `cache`.
+    /// report cache counters through a per-search view of it that starts
+    /// from the load-time trie, so the statistics depend only on the loaded
+    /// trie and the search's own visit order. Takes precedence over `cache`.
     pub shared_cache: Option<Arc<SharedCache>>,
     /// Telemetry handle (see [`crate::telemetry`]). Off by default; when on,
     /// the fold emits bound-level, progress, cache and bug-discovery events.
@@ -231,8 +233,9 @@ pub(crate) struct Visit {
     pub ran_pruned_by_sleep: u64,
     /// Bound exclusions recorded while the schedule ran.
     pub ran_bound_prunes: u64,
-    /// Footprint for a cache mirror (only through a shared trie).
-    pub trace: Option<VisitTrace>,
+    /// What the fold inserts into the search's trie, and the path a view
+    /// walks (only when a trie is walked).
+    pub footprint: Option<Footprint>,
 }
 
 /// A source of completed schedules in serial visit order.
@@ -242,8 +245,8 @@ pub(crate) trait Producer {
     fn begin(&mut self) -> Option<u64>;
 
     /// Complete the schedule [`Producer::begin`] just began. Producers that
-    /// run schedules on the calling thread walk `cache`.
-    fn run(&mut self, cache: CacheHandle<'_>) -> Visit;
+    /// run schedules on the calling thread walk `trie`; none writes it.
+    fn run(&mut self, trie: Option<Walker<'_>>) -> Visit;
 
     /// Whether running out of schedules proves the space covered.
     fn covered(&self) -> bool {
@@ -273,12 +276,10 @@ impl Producer for SerialDfs<'_, '_> {
         self.dfs.begin_execution().then(|| self.dfs.slept() - slept)
     }
 
-    /// A shared trie also yields the visit trace its mirror replays.
-    fn run(&mut self, cache: CacheHandle<'_>) -> Visit {
+    fn run(&mut self, trie: Option<Walker<'_>>) -> Visit {
         let dfs = &mut self.dfs;
         let (pruned, bound_prunes) = (dfs.pruned_by_sleep(), dfs.bound_prune_count());
-        let want_trace = matches!(cache, CacheHandle::Shared(_));
-        let (run, trace) = cache::run_begun_schedule(self.exec, dfs, cache, want_trace);
+        let (run, footprint) = cache::complete(self.exec, dfs, trie);
         Visit {
             cost: run.cost(self.kind),
             executed: matches!(run, ScheduleRun::Executed(_)),
@@ -286,7 +287,7 @@ impl Producer for SerialDfs<'_, '_> {
             redundant: dfs.current_execution_redundant(),
             ran_pruned_by_sleep: dfs.pruned_by_sleep() - pruned,
             ran_bound_prunes: dfs.bound_prune_count() - bound_prunes,
-            trace,
+            footprint,
         }
     }
 }
@@ -304,7 +305,7 @@ impl Producer for SchedulerProducer<'_, '_, '_> {
         more.then(|| self.scheduler.sleep_counters().0 - slept)
     }
 
-    fn run(&mut self, _cache: CacheHandle<'_>) -> Visit {
+    fn run(&mut self, _trie: Option<Walker<'_>>) -> Visit {
         let (_, pruned) = self.scheduler.sleep_counters();
         self.exec.reset();
         let outcome = self
@@ -318,7 +319,7 @@ impl Producer for SchedulerProducer<'_, '_, '_> {
             cost: 0,
             ran_pruned_by_sleep: self.scheduler.sleep_counters().1 - pruned,
             ran_bound_prunes: 0,
-            trace: None,
+            footprint: None,
         }
     }
 
@@ -331,59 +332,73 @@ impl Producer for SchedulerProducer<'_, '_, '_> {
     }
 }
 
-/// The schedule cache one search walks, and with it the rule that charges
+/// The schedule trie one search walks, and with it the rule that charges
 /// executions — decided once, when the search starts.
 enum Trie<'a> {
     /// No cache: every schedule executes.
     Off,
-    /// A cache only this search touches, walked on the calling thread: each
-    /// visit's `executed` flag is authoritative.
-    Local(ScheduleCache),
-    /// A trie other threads touch too — the campaign corpus, or a memo the
-    /// stealing workers share — so a mirror replaying this search's own
-    /// visit stream decides each hit, whatever the threads interleaved.
-    Shared(&'a RwLock<ScheduleCache>, CacheReplay),
+    /// A trie private to this search (serial or stolen); its own bytes and
+    /// fullness are exact.
+    Private(&'a RwLock<ScheduleCache>),
+    /// The campaign arena, shared with the benchmark's other searches and
+    /// charged through this search's view.
+    Corpus(&'a SharedCache, View),
 }
 
 impl<'a> Trie<'a> {
-    /// The campaign corpus, charged from its load-time baseline.
-    fn corpus(shared: &'a SharedCache) -> Self {
-        Trie::Shared(shared.live(), shared.mirror())
-    }
-
-    fn handle(&mut self) -> CacheHandle<'_> {
-        match self {
-            Trie::Off => CacheHandle::Off,
-            Trie::Local(cache) => CacheHandle::Local(cache),
-            Trie::Shared(lock, _) => CacheHandle::Shared(lock),
+    fn new(corpus: Option<&'a SharedCache>, private: Option<&'a RwLock<ScheduleCache>>) -> Self {
+        match (corpus, private) {
+            (Some(shared), _) => Trie::Corpus(shared, shared.view()),
+            (None, Some(lock)) => Trie::Private(lock),
+            (None, None) => Trie::Off,
         }
     }
 
-    /// The shared trie, for stealing workers to walk.
-    fn lock(&self) -> Option<&'a RwLock<ScheduleCache>> {
-        match self {
-            Trie::Shared(lock, _) => Some(lock),
-            _ => None,
-        }
+    /// How producers, on this thread or as stealing workers, walk the trie.
+    fn walker(&self) -> Option<Walker<'a>> {
+        let (trie, arena) = match self {
+            Trie::Off => return None,
+            Trie::Private(trie) => (*trie, false),
+            Trie::Corpus(shared, _) => (shared.live(), true),
+        };
+        Some(Walker { trie, arena })
     }
 
-    /// Whether `visit` counts as an execution.
-    fn executed(&mut self, visit: &Visit) -> bool {
+    /// Insert `visit`'s footprint; whether it counts as an execution. A
+    /// private trie's own walk decides: a level visits each path once, and
+    /// every earlier level's inserts landed before the level began, so even
+    /// a stealing worker's walk misses exactly when the serial one would.
+    fn fold(&mut self, visit: &mut Visit) -> bool {
+        let Some(Footprint { path, suffix }) = visit.footprint.take() else {
+            return visit.executed;
+        };
+        let digest = || visit.run.digest();
         match self {
-            Trie::Shared(_, mirror) => {
-                let trace = visit.trace.as_ref().expect("a shared trie yields traces");
-                !mirror.apply(&trace.schedule, &trace.enabled_counts)
+            Trie::Private(lock) => {
+                if let Some(suffix) = suffix {
+                    cache::write(lock).insert(&path, suffix, digest(), true);
+                }
+                visit.executed
             }
-            _ => visit.executed,
+            Trie::Corpus(shared, view) => {
+                if let (false, Some(suffix)) = (view.full, suffix) {
+                    cache::write(shared.live()).insert(&path, suffix, digest(), false);
+                }
+                !shared.with_live(|arena| view.apply(arena, &path))
+            }
+            Trie::Off => visit.executed,
         }
     }
 
-    /// `(hits, bytes, full)` so far.
-    fn counters(&self) -> (u64, u64, bool) {
+    /// `(bytes, full)` so far.
+    fn bytes(&self) -> (u64, bool) {
         match self {
-            Trie::Off => (0, 0, false),
-            Trie::Local(cache) => (cache.hits(), cache.bytes(), cache.is_full()),
-            Trie::Shared(_, mirror) => (mirror.hits(), mirror.bytes(), mirror.is_full()),
+            Trie::Off => (0, false),
+            Trie::Private(lock) => {
+                let trie = cache::read(lock);
+                (trie.bytes, trie.full)
+            }
+            Trie::Corpus(_, view) => (view.bytes, view.full),
         }
     }
 }
@@ -481,17 +496,19 @@ impl<'a> Fold<'a> {
     /// Complete the schedule `producer` just began, charging its execution
     /// and run-phase counters.
     fn run(&mut self, producer: &mut dyn Producer) -> Visit {
-        let visit = producer.run(self.trie.handle());
+        let mut visit = producer.run(self.trie.walker());
         self.stats.pruned_by_sleep += visit.ran_pruned_by_sleep;
-        if self.trie.executed(&visit) {
+        if self.trie.fold(&mut visit) {
             self.stats.executions += 1;
+        } else {
+            self.stats.cache_hits += 1;
         }
         self.limits.telemetry.progress(|| Event::Progress {
             program: self.program.to_string(),
             technique: self.stats.technique.clone(),
             schedules: self.stats.schedules,
             executions: self.stats.executions,
-            cache_hits: self.trie.counters().0,
+            cache_hits: self.stats.cache_hits,
         });
         visit
     }
@@ -517,7 +534,7 @@ impl<'a> Fold<'a> {
 
     /// Emit [`Event::CacheDegraded`] the first time the trie is full.
     fn note_degraded(&mut self) {
-        let (_, bytes, full) = self.trie.counters();
+        let (bytes, full) = self.trie.bytes();
         if full && !self.degraded {
             self.degraded = true;
             self.limits.telemetry.emit(|| Event::CacheDegraded {
@@ -568,7 +585,7 @@ impl<'a> Fold<'a> {
         let base = (
             self.stats.schedules,
             self.stats.executions,
-            self.trie.counters().0,
+            self.stats.cache_hits,
         );
         let level = self.search(producer, Some(bound));
         self.stats.final_bound = Some(bound);
@@ -579,7 +596,7 @@ impl<'a> Fold<'a> {
             bound: bound as u64,
             schedules: self.stats.schedules - base.0,
             executions: self.stats.executions - base.1,
-            cache_hits: self.trie.counters().0 - base.2,
+            cache_hits: self.stats.cache_hits - base.2,
             new_at_bound: level.counted,
         });
         self.note_degraded();
@@ -612,7 +629,7 @@ impl<'a> Fold<'a> {
     }
 
     fn finish(mut self) -> (ExplorationStats, Vec<TerminalDigest>) {
-        (self.stats.cache_hits, self.stats.cache_bytes, _) = self.trie.counters();
+        self.stats.cache_bytes = self.trie.bytes().0;
         self.stats.explore_nanos = self.started.elapsed().as_nanos() as u64;
         (self.stats, self.digests.unwrap_or_default())
     }
@@ -655,14 +672,11 @@ pub(crate) fn bounded_search(
     digests: bool,
 ) -> (ExplorationStats, Vec<TerminalDigest>) {
     let dfs = BoundedDfs::new(kind.policy(), bound).with_sleep_sets(limits.por);
-    let trie = limits
-        .shared_cache
-        .as_deref()
-        .map_or(Trie::Off, Trie::corpus);
+    let trie = Trie::new(limits.shared_cache.as_deref(), None);
     let mut fold = Fold::new(dfs.name(), program, limits, trie, digests);
     if steals(kind, limits) {
-        let cache = fold.trie.lock();
-        crate::steal::with_engine(program, config, kind, bound, limits, cache, |p| {
+        let trie = fold.trie.walker();
+        crate::steal::with_engine(program, config, kind, bound, limits, trie, |p| {
             fold.single(p)
         });
     } else {
@@ -720,24 +734,16 @@ pub fn iterative_bounding(
         BoundKind::None => "DFS",
     };
     let stealing = steals(kind, limits);
-    let max_bytes = limits.cache_max_bytes;
-    // Stealing workers share one private cache as a pure memo of the
-    // deterministic program; the fold's mirror reports the serial counters.
-    let memo = (limits.cache && stealing && limits.shared_cache.is_none())
-        .then(|| RwLock::new(ScheduleCache::new(max_bytes)));
-    let trie = match (limits.shared_cache.as_deref(), &memo) {
-        (Some(corpus), _) => Trie::corpus(corpus),
-        (None, Some(memo)) => Trie::Shared(memo, CacheReplay::new(max_bytes)),
-        (None, None) if limits.cache => Trie::Local(ScheduleCache::new(max_bytes)),
-        (None, None) => Trie::Off,
-    };
+    let private = (limits.cache && limits.shared_cache.is_none())
+        .then(|| RwLock::new(ScheduleCache::new(limits.cache_max_bytes)));
+    let trie = Trie::new(limits.shared_cache.as_deref(), private.as_ref());
     let mut fold = Fold::new(label.to_string(), program, limits, trie, false);
     let mut exec = Execution::new_shared(program, config);
     let mut stopped = false;
     for bound in 0..=limits.max_bound {
         stopped = if stealing {
-            let cache = fold.trie.lock();
-            crate::steal::with_engine(program, config, kind, bound, limits, cache, |p| {
+            let trie = fold.trie.walker();
+            crate::steal::with_engine(program, config, kind, bound, limits, trie, |p| {
                 fold.level(p, bound)
             })
         } else {

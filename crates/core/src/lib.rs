@@ -68,9 +68,7 @@ pub mod steal;
 pub mod telemetry;
 
 pub use bounds::{BoundKind, BoundPolicy, DelayBound, NoBound, PreemptionBound};
-pub use cache::{
-    CacheHandle, CacheReplay, ScheduleCache, ScheduleRun, SharedCache, TerminalDigest,
-};
+pub use cache::{CacheHandle, ScheduleCache, ScheduleRun, SharedCache, TerminalDigest};
 pub use corpus::{BugCorpus, BugRecord, Corpus, CorpusError};
 pub use dfs::{BoundedDfs, SubtreeSeed};
 pub use explore::{explore_with, iterative_bounding, ExploreLimits, Technique};
@@ -88,7 +86,7 @@ pub use telemetry::{Event, Recorder, Telemetry};
 pub mod prelude {
     pub use crate::bounds::{BoundKind, BoundPolicy, DelayBound, NoBound, PreemptionBound};
     pub use crate::cache::{
-        self, CacheHandle, CacheReplay, ScheduleCache, ScheduleRun, SharedCache, TerminalDigest,
+        self, CacheHandle, ScheduleCache, ScheduleRun, SharedCache, TerminalDigest,
     };
     pub use crate::corpus::{self, BugCorpus, BugRecord, Corpus, CorpusError};
     pub use crate::dfs::{BoundedDfs, SubtreeSeed};

@@ -36,10 +36,10 @@
 //! sibling's entry sleep set is known a priori and donation is exact; with
 //! sleep sets off the entry state is just the prefix. Hence the gate: steal
 //! only when POR is off or the policy cannot prune; otherwise the search
-//! runs on the serial producer. The schedule cache needs no such gate —
-//! workers share one [`ScheduleCache`] purely as a memo of the deterministic
-//! program, and the fold charges the cache counters through a
-//! [`crate::cache::CacheReplay`] mirror of its own serial visit stream.
+//! runs on the serial producer. The schedule trie needs no such gate:
+//! workers only walk it and send each visit's footprint back with it, and
+//! the fold inserts the footprints in serial visit order, so the trie is the
+//! serial search's whatever the workers ran past the schedule limit.
 //!
 //! # Serial order
 //!
@@ -54,7 +54,7 @@
 //! search exactly, even where the schedule limit cuts the stream.
 
 use crate::bounds::BoundKind;
-use crate::cache::{CacheHandle, ScheduleCache, ScheduleRun, TerminalDigest};
+use crate::cache::{ScheduleRun, TerminalDigest, Walker};
 use crate::dfs::{BoundedDfs, SubtreeSeed};
 use crate::explore::{self, ExploreLimits, Producer, SerialDfs, Visit};
 use crate::stats::ExplorationStats;
@@ -63,7 +63,7 @@ use sct_ir::Program;
 use sct_runtime::{ExecConfig, Execution};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError, RwLock};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::thread;
 
 /// A completed execution with the sleep-set insertions of the begin that
@@ -237,7 +237,7 @@ struct WorkerCtx<'a> {
     kind: BoundKind,
     bound: u32,
     por: bool,
-    cache: Option<&'a RwLock<ScheduleCache>>,
+    trie: Option<Walker<'a>>,
     /// Telemetry handle for donation/theft/idle events. Events are
     /// observations only — workers never read telemetry state, so the folded
     /// results cannot depend on it.
@@ -367,11 +367,7 @@ fn worker(ctx: &WorkerCtx<'_>, who: u64) {
                 engine.emit(task_id, std::mem::take(&mut batch), true);
                 continue 'tasks;
             };
-            let handle = match ctx.cache {
-                Some(lock) => CacheHandle::Shared(lock),
-                None => CacheHandle::Off,
-            };
-            let mut visit = serial.run(handle);
+            let mut visit = serial.run(ctx.trie);
             if let ScheduleRun::Executed(outcome) = &visit.run {
                 // The fold needs only the digest; the outcome stays here.
                 visit.run = ScheduleRun::Served(TerminalDigest::of(outcome));
@@ -466,8 +462,7 @@ impl<'a> Cursor<'a> {
 }
 
 /// The stealing engine as a producer: the cursor's visits, begun one at a
-/// time. The workers already ran each one through their own handle on the
-/// shared trie.
+/// time. The workers already ran each one, walking the search's trie.
 struct Stolen<'a> {
     cursor: Cursor<'a>,
     begun: Option<Visit>,
@@ -480,14 +475,14 @@ impl Producer for Stolen<'_> {
         Some(slept)
     }
 
-    fn run(&mut self, _cache: CacheHandle<'_>) -> Visit {
+    fn run(&mut self, _trie: Option<Walker<'_>>) -> Visit {
         self.begun.take().expect("run follows a successful begin")
     }
 }
 
 /// Hand `fold` a producer for one bounded DFS split across
-/// `limits.steal_workers` threads, which share `cache` (if any) as a pure
-/// memo, and return what `fold` returns. The engine shuts down when the fold
+/// `limits.steal_workers` threads, which walk `trie` (if any) but never
+/// write it, and return what `fold` returns. The engine shuts down when the fold
 /// ends or any thread unwinds.
 pub(crate) fn with_engine<R>(
     program: &Program,
@@ -495,7 +490,7 @@ pub(crate) fn with_engine<R>(
     kind: BoundKind,
     bound: u32,
     limits: &ExploreLimits,
-    cache: Option<&RwLock<ScheduleCache>>,
+    trie: Option<Walker<'_>>,
     fold: impl FnOnce(&mut dyn Producer) -> R,
 ) -> R {
     let engine = Engine::new();
@@ -506,7 +501,7 @@ pub(crate) fn with_engine<R>(
         kind,
         bound,
         por: limits.por,
-        cache,
+        trie,
         telemetry: &limits.telemetry,
     };
     thread::scope(|scope| {

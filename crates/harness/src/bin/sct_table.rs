@@ -37,9 +37,24 @@ use sct_harness::{
 use sctbench::{all_benchmarks, benchmark_by_name};
 use std::path::Path;
 
+/// Every subcommand, in usage order.
+const SUBCOMMANDS: [&str; 10] = [
+    "table1",
+    "table2",
+    "table3",
+    "fig2a",
+    "fig2b",
+    "fig3",
+    "fig4",
+    "lint",
+    "replay",
+    "validate-trace",
+];
+
 fn usage() -> String {
     format!(
-        "usage: sct-table <table1|table2|table3|fig2a|fig2b|fig3|fig4|lint|replay|validate-trace> {}",
+        "usage: sct-table <{}> {}",
+        SUBCOMMANDS.join("|"),
         cli::COMMON_USAGE
     )
 }
@@ -129,6 +144,15 @@ fn main() {
         eprintln!("{}", usage());
         std::process::exit(2);
     };
+    if what == "--help" || what == "-h" {
+        println!("{}", usage());
+        return;
+    }
+    // Checked before anything runs: a typo must not cost a whole study.
+    if !SUBCOMMANDS.contains(&what.as_str()) {
+        eprintln!("unknown table/figure: {what}\n{}", usage());
+        std::process::exit(2);
+    }
 
     let mut config = HarnessConfig {
         schedule_limit: 1_000,
@@ -242,9 +266,6 @@ fn main() {
         ),
         "fig3" => print!("{}", figures::scatter_fig3(&results)),
         "fig4" => print!("{}", figures::scatter_fig4(&results)),
-        other => {
-            eprintln!("unknown table/figure: {other}");
-            std::process::exit(2);
-        }
+        other => unreachable!("subcommand {other} is checked before the study runs"),
     }
 }

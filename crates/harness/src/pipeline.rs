@@ -39,7 +39,9 @@ pub struct HarnessConfig {
     /// Number of worker threads the study fans benchmarks × techniques out
     /// over (1 = fully serial). Each (benchmark, technique) cell still runs
     /// its schedulers with their serial seeds, so the collected statistics
-    /// are identical to a serial run at any worker count.
+    /// are identical to a serial run at any worker count. In campaign mode a
+    /// benchmark's techniques run one at a time (benchmarks still fan out),
+    /// so they grow its shared trie in a fixed order.
     pub workers: usize,
     /// Enable sleep-set partial-order reduction in the systematic searches
     /// (DFS, IPB, IDB). Off by default because the paper's study ran without
@@ -410,7 +412,13 @@ pub fn run_benchmark(
     let shared = match &corpus {
         Some(c) => {
             let loaded = match config.resume {
-                true => c.load_cache(spec.name, key)?,
+                true => {
+                    let loaded = c.load_cache(spec.name, key)?;
+                    // Before the loaded trie serves anything, its bug
+                    // records must still reproduce.
+                    c.audit_bugs(spec.name, &program, &exec_config)?;
+                    loaded
+                }
                 false => None,
             };
             if let Some(cache) = &loaded {
@@ -446,7 +454,11 @@ pub fn run_benchmark(
         _ => None,
     };
     let technique_list = study_techniques(config);
-    let techniques = map_indexed(technique_list.len(), config.workers, |i| {
+    // A campaign arena is grown by one search at a time, in technique order:
+    // its saved content then does not depend on thread timing, and a
+    // panic's rollback never runs under another search's live view.
+    let unit_workers = if shared.is_some() { 1 } else { config.workers };
+    let techniques = map_indexed(technique_list.len(), unit_workers, |i| {
         let t = technique_list[i];
         config.telemetry.emit(|| Event::TechniqueStart {
             benchmark: spec.name.to_string(),
@@ -564,7 +576,8 @@ pub fn run_benchmark(
 ///
 /// Parallelism is applied at benchmark granularity first (the study has 52
 /// largely independent rows) and at technique granularity within each
-/// benchmark when workers outnumber benchmarks; every cell runs the same
+/// benchmark when workers outnumber benchmarks, except in campaign mode,
+/// where a benchmark's techniques run one at a time; every cell runs the same
 /// serial exploration either way, so the results — and their order — are
 /// identical to a `workers == 1` run.
 pub fn run_study(

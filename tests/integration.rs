@@ -833,20 +833,14 @@ fn corpus_resume_is_bit_identical_to_the_cold_run_with_strictly_fewer_executions
                         resumed.executions, 0,
                         "{ctx}: the saved trie covers this run, yet the resume re-executed"
                     );
-                    // The artifact is a fixed point of resume wherever its
-                    // content is deterministic: always in the serial driver,
-                    // and for stolen runs whenever the space was covered. (A
-                    // *truncated* stolen run also stores whatever its workers
-                    // speculatively completed beyond the budget — a timing-
-                    // dependent superset that the statistics, which fold only
-                    // the counted prefix, are insulated from.)
-                    if workers == 1 || cold.complete {
-                        assert_eq!(
-                            saved_trie,
-                            saved(&resumed_trie, key),
-                            "{ctx}: re-saving after a covered resume changed the artifact"
-                        );
-                    }
+                    // The artifact is a fixed point of resume: only the fold
+                    // inserts, in serial visit order, so even a truncated
+                    // stolen run stores exactly the serial run's trie.
+                    assert_eq!(
+                        saved_trie,
+                        saved(&resumed_trie, key),
+                        "{ctx}: re-saving after a covered resume changed the artifact"
+                    );
                 }
             }
         }
@@ -1068,6 +1062,91 @@ fn harness_campaign_mode_persists_resumes_and_replays() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The campaign study of `CS.reorder_3_bad` behind every campaign-artifact
+/// test: truncated at 400 schedules, saving into `dir`.
+fn campaign_config(dir: &std::path::Path, workers: usize, steal_workers: usize) -> HarnessConfig {
+    HarnessConfig {
+        schedule_limit: 400,
+        race_runs: 3,
+        seed: 7,
+        use_race_phase: false,
+        workers,
+        steal_workers,
+        corpus_dir: Some(dir.to_path_buf()),
+        checkpoint_every: None,
+        ..Default::default()
+    }
+}
+
+#[test]
+fn campaign_artifacts_are_byte_identical_at_any_worker_count() {
+    // Only the fold inserts into the arena, in serial visit order, and a
+    // benchmark's campaign searches run one at a time: the saved trie and
+    // bug corpus are a function of the study, not of its threads — even
+    // where stealing workers run past a truncating schedule limit.
+    let name = "CS.reorder_3_bad";
+    let spec = benchmark_by_name(name).unwrap();
+    let artifacts = |workers: usize, steal_workers: usize| {
+        let dir = scratch_corpus_dir(&format!("workers-{workers}-{steal_workers}"));
+        let config = campaign_config(&dir, workers, steal_workers);
+        sct::harness::pipeline::run_benchmark(&spec, &config).unwrap();
+        let corpus = Corpus::open(&dir).unwrap();
+        let read = |path: std::path::PathBuf| std::fs::read(path).unwrap();
+        let saved = (read(corpus.cache_path(name)), read(corpus.bugs_path(name)));
+        let _ = std::fs::remove_dir_all(&dir);
+        saved
+    };
+    let (serial_trie, serial_bugs) = artifacts(1, 1);
+    let (stolen_trie, stolen_bugs) = artifacts(2, 2);
+    assert!(
+        serial_trie == stolen_trie,
+        "{name}: the saved trie depends on the worker counts"
+    );
+    assert!(
+        serial_bugs == stolen_bugs,
+        "{name}: the bug corpus depends on the worker counts"
+    );
+}
+
+#[test]
+fn a_stale_bug_corpus_fails_the_resume_before_anything_is_served() {
+    // A bug record that no longer reproduces means the program or engine
+    // changed under the corpus: `--resume` must refuse with `Stale` instead
+    // of serving the old trie's rows.
+    let name = "CS.reorder_3_bad";
+    let spec = benchmark_by_name(name).unwrap();
+    let dir = scratch_corpus_dir("stale");
+    let config = campaign_config(&dir, 1, 1);
+    sct::harness::pipeline::run_benchmark(&spec, &config).unwrap();
+    let corpus = Corpus::open(&dir).unwrap();
+    let mut bugs = corpus
+        .load_bugs(name)
+        .unwrap()
+        .expect("the cold run saved its bugs");
+    assert!(
+        !bugs.records.is_empty(),
+        "{name}: the cold run must record a bug"
+    );
+    bugs.records[0].bug = Bug::Deadlock {
+        blocked: Vec::new(),
+    };
+    corpus.save_bugs(&bugs).unwrap();
+    let resumed = sct::harness::pipeline::run_benchmark(
+        &spec,
+        &HarnessConfig {
+            resume: true,
+            ..config
+        },
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    match resumed {
+        Err(error @ CorpusError::Stale { .. }) => {
+            assert!(error.to_string().contains("rerun cold"), "{error}")
+        }
+        other => panic!("{name}: a doctored bug corpus must fail with Stale, got {other:?}"),
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -204,12 +204,12 @@ impl Case {
         let mut exec = Execution::new_shared(&self.program, &self.config);
         let mut counted = 0;
         while dfs.begin_execution() {
-            let (run, trace) = run_begun_schedule(&mut exec, &mut dfs, CacheHandle::Off, true);
+            let (run, path) = run_begun_schedule(&mut exec, &mut dfs, CacheHandle::Off, true);
             if dfs.current_execution_redundant() {
                 continue;
             }
             if counted == index {
-                return Some((run.digest(), trace.expect("a trace was asked for").schedule));
+                return Some((run.digest(), path.expect("a path was asked for")));
             }
             counted += 1;
         }
