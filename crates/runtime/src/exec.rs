@@ -17,9 +17,15 @@ use std::borrow::Cow;
 /// A single controlled execution of a program.
 ///
 /// The expected call pattern is [`Execution::new`] followed by
-/// [`Execution::run`]. `run` allocates nothing per step: instructions are
-/// executed in place, borrowed from the program, and every scheduling point
-/// is refilled into one [`SchedulingPoint`] buffer owned by the execution.
+/// [`Execution::run`]. `run` allocates nothing per step while every
+/// enabled thread id is below 64, the inline capacity of a step record's
+/// [`crate::ThreadSet`]: instructions are executed in place, borrowed from
+/// the program, and every scheduling point is refilled into one
+/// [`SchedulingPoint`] buffer owned by the execution. Each thread's
+/// enabledness condition (its gate) and pending-operation summary are cached
+/// and recomputed only where that thread's own state changes, so refilling a
+/// point checks each cached gate against the live synchronisation objects
+/// instead of re-deriving it from the thread's instruction and locals.
 /// [`Execution::start`], [`Execution::scheduling_point`] and
 /// [`Execution::step`] expose the same steps one at a time (the point is then
 /// a fresh copy built by the code `run` uses), for tests and tools that
@@ -56,6 +62,12 @@ pub struct Execution<'p> {
     barrier_len: Vec<u32>,
 
     threads: Vec<ThreadState>,
+    /// Per-thread cache, indexed like `threads`: the thread's [`Gate`] and
+    /// the summary of its pending operation. Both depend on the thread's own
+    /// state only, so they are recomputed ([`Execution::refresh`]) exactly
+    /// where that state changes, and building a scheduling point only checks
+    /// each gate against the live synchronisation objects.
+    gates: Vec<(Gate, PendingOp)>,
     /// Thread states recycled by [`Execution::reset`]; `Spawn` pops from here
     /// before allocating, so repeated schedules of the same program reuse the
     /// per-thread `locals` buffers.
@@ -139,7 +151,7 @@ impl<'p> Execution<'p> {
         let main_template = &program.templates[program.main.index()];
         let threads = vec![ThreadState::new(program.main, main_template.locals, None)];
 
-        Execution {
+        let mut exec = Execution {
             program,
             config,
             globals,
@@ -158,6 +170,7 @@ impl<'p> Execution<'p> {
             barrier_base,
             barrier_len,
             threads,
+            gates: Vec::with_capacity(1),
             thread_pool: Vec::new(),
             point: SchedulingPoint::default(),
             last: None,
@@ -167,7 +180,9 @@ impl<'p> Execution<'p> {
             max_enabled: 0,
             scheduling_points: 0,
             started: false,
-        }
+        };
+        exec.gates.push(exec.entry_of(ThreadId(0)));
+        exec
     }
 
     /// Rewind to the initial state of the program without releasing any of
@@ -215,6 +230,8 @@ impl<'p> Execution<'p> {
         self.thread_pool.extend(self.threads.drain(1..));
         let main_template = &self.program.templates[self.program.main.index()];
         self.threads[0].reinit(self.program.main, main_template.locals, None);
+        self.gates.truncate(1);
+        self.gates[0] = self.entry_of(ThreadId(0));
 
         self.last = None;
         self.steps.clear();
@@ -248,42 +265,81 @@ impl<'p> Execution<'p> {
     // ----- enabledness -----
 
     fn thread_enabled(&self, tid: ThreadId) -> bool {
-        let t = &self.threads[tid.index()];
-        match t.status {
-            ThreadStatus::Finished
-            | ThreadStatus::WaitingCondvar { .. }
-            | ThreadStatus::WaitingBarrier { .. } => false,
-            ThreadStatus::Reacquiring { mutex } => self.mutexes[mutex].is_free(),
-            ThreadStatus::Runnable => match self.pending_instr(tid) {
-                Some(Instr::Op { op }) => self.op_enabled(tid, op),
-                // A runnable thread is always parked at a visible operation
-                // (or at its first instruction before the execution starts).
-                _ => true,
-            },
+        self.gate_open(self.gates[tid.index()].0)
+    }
+
+    /// Whether `gate` lets its thread run in the current state: the only
+    /// place enabledness reads other threads or synchronisation objects.
+    fn gate_open(&self, gate: Gate) -> bool {
+        match gate {
+            Gate::Open => true,
+            Gate::Closed => false,
+            Gate::MutexFree(m) => self.mutexes[m].is_free(),
+            Gate::SemPositive(s) => self.sems[s].count > 0,
+            Gate::Joined(t) => self
+                .threads
+                .get(t)
+                .is_none_or(|target| target.status.is_finished()),
         }
     }
 
-    fn op_enabled(&self, tid: ThreadId, op: &Op) -> bool {
+    /// What `tid`'s enabledness depends on, derived from its own state.
+    fn gate_of(&self, tid: ThreadId) -> Gate {
         let t = &self.threads[tid.index()];
+        let op = match t.status {
+            ThreadStatus::Finished
+            | ThreadStatus::WaitingCondvar { .. }
+            | ThreadStatus::WaitingBarrier { .. } => return Gate::Closed,
+            ThreadStatus::Reacquiring { mutex } => return Gate::MutexFree(mutex),
+            ThreadStatus::Runnable => match self.pending_instr(tid) {
+                Some(Instr::Op { op }) => op,
+                // A runnable thread is always parked at a visible operation
+                // (or at its first instruction before the execution starts).
+                _ => return Gate::Open,
+            },
+        };
+        // Resolution errors surface as bugs when the op executes.
         match op {
-            Op::Lock { mutex } => match self.resolve_mutex(tid, mutex) {
-                Ok(m) => self.mutexes[m].is_free(),
-                // Resolution errors surface as bugs when the op executes.
-                Err(_) => true,
-            },
-            Op::SemWait { sem } => match self.resolve_sem(tid, sem) {
-                Ok(s) => self.sems[s].count > 0,
-                Err(_) => true,
-            },
+            Op::Lock { mutex } => self
+                .resolve_mutex(tid, mutex)
+                .map_or(Gate::Open, Gate::MutexFree),
+            Op::SemWait { sem } => self
+                .resolve_sem(tid, sem)
+                .map_or(Gate::Open, Gate::SemPositive),
+            // A negative target is open: executing reports InvalidJoin.
             Op::Join { thread } => {
-                let target = thread.eval(&t.locals);
-                if target < 0 || target as usize >= self.threads.len() {
-                    true // executing reports InvalidJoin
-                } else {
-                    self.threads[target as usize].status.is_finished()
-                }
+                usize::try_from(thread.eval(&t.locals)).map_or(Gate::Open, Gate::Joined)
             }
-            _ => true,
+            _ => Gate::Open,
+        }
+    }
+
+    /// `tid`'s cache entry, evaluated from scratch.
+    fn entry_of(&self, tid: ThreadId) -> (Gate, PendingOp) {
+        (self.gate_of(tid), self.pending_summary(tid))
+    }
+
+    /// Re-evaluate `tid`'s cache entry after its own state changed.
+    fn refresh(&mut self, tid: ThreadId) {
+        self.gates[tid.index()] = self.entry_of(tid);
+    }
+
+    /// Debug cross-check: every cached gate and pending summary equals a
+    /// from-scratch evaluation of the current state.
+    #[cfg(any(test, debug_assertions))]
+    fn assert_gates_fresh(&self) {
+        assert_eq!(
+            self.gates.len(),
+            self.threads.len(),
+            "incremental enabled set drifted: gate table length"
+        );
+        for (t, &entry) in self.gates.iter().enumerate() {
+            assert_eq!(
+                entry,
+                self.entry_of(ThreadId(t)),
+                "incremental enabled set drifted: t{t} before step {}",
+                self.steps.len()
+            );
         }
     }
 
@@ -311,7 +367,7 @@ impl<'p> Execution<'p> {
     /// True once the execution can make no further progress (terminal state,
     /// bug found, or divergence).
     pub fn is_terminal(&self) -> bool {
-        self.bug.is_some() || !(0..self.threads.len()).any(|t| self.thread_enabled(ThreadId(t)))
+        self.bug.is_some() || !self.gates.iter().any(|&(gate, _)| self.gate_open(gate))
     }
 
     // ----- scheduling point construction -----
@@ -357,18 +413,18 @@ impl<'p> Execution<'p> {
     /// Rewrite `point` in place to describe the current state, reusing its
     /// vectors' capacity: the one place a scheduling point is built.
     fn fill_point(&self, point: &mut SchedulingPoint) {
+        #[cfg(debug_assertions)]
+        self.assert_gates_fresh();
         point.enabled.clear();
-        point.enabled.extend(
-            (0..self.threads.len())
-                .map(ThreadId)
-                .filter(|&t| self.thread_enabled(t)),
-        );
         point.pending.clear();
-        point
-            .pending
-            .extend(point.enabled.iter().map(|&t| self.pending_summary(t)));
+        for &(gate, pending) in &self.gates {
+            if self.gate_open(gate) {
+                point.enabled.push(pending.thread);
+                point.pending.push(pending);
+            }
+        }
         point.last = self.last;
-        point.last_enabled = self.last.is_some_and(|l| point.enabled.contains(&l));
+        point.last_enabled = self.last.is_some_and(|l| self.thread_enabled(l));
         point.num_threads = self.threads.len();
         point.step_index = self.steps.len();
     }
@@ -475,34 +531,34 @@ impl<'p> Execution<'p> {
     }
 
     /// Execute invisible instructions of `tid` until it parks at a visible
-    /// operation, blocks, finishes or a bug is found.
+    /// operation, blocks, finishes or a bug is found, then refresh its gate.
     fn advance(&mut self, tid: ThreadId, observer: &mut dyn ExecObserver) {
         let mut executed = 0usize;
         loop {
             if self.bug.is_some() {
-                return;
+                break;
             }
             if executed > self.config.max_invisible_ops_per_step {
                 self.set_bug(Bug::StepLimitExceeded {
                     limit: self.config.max_invisible_ops_per_step,
                 });
-                return;
+                break;
             }
             let t = &self.threads[tid.index()];
             if !matches!(t.status, ThreadStatus::Runnable) {
-                return;
+                break;
             }
             let template = t.template;
             let pc = t.pc;
             let Some(instr) = self.pending_instr(tid) else {
                 // Running off the end of the body terminates the thread.
                 self.finish_thread(tid, observer);
-                return;
+                break;
             };
             match instr {
                 Instr::Halt => {
                     self.finish_thread(tid, observer);
-                    return;
+                    break;
                 }
                 Instr::Goto { target } => {
                     self.threads[tid.index()].pc = *target;
@@ -517,16 +573,17 @@ impl<'p> Execution<'p> {
                         pc: pc as u32,
                     };
                     if self.op_visible(op, loc) {
-                        return; // parked at a visible operation
+                        break; // parked at a visible operation
                     }
                     self.execute_invisible_op(tid, op, loc, observer);
                     if self.bug.is_some() {
-                        return;
+                        break;
                     }
                 }
             }
             executed += 1;
         }
+        self.refresh(tid);
     }
 
     fn finish_thread(&mut self, tid: ThreadId, observer: &mut dyn ExecObserver) {
@@ -608,6 +665,7 @@ impl<'p> Execution<'p> {
 
         let Some(instr) = self.pending_instr(tid) else {
             self.finish_thread(tid, observer);
+            self.refresh(tid);
             self.last = Some(tid);
             return;
         };
@@ -620,6 +678,10 @@ impl<'p> Execution<'p> {
         }
         if self.bug.is_none() {
             self.advance(tid, observer);
+        } else {
+            // A bug ends the step before `advance`, which refreshes `tid`'s
+            // gate, after a spawn or barrier release may have moved its pc.
+            self.refresh(tid);
         }
     }
 
@@ -834,6 +896,7 @@ impl<'p> Execution<'p> {
                     None => ThreadState::new(*template, locals, Some(tid)),
                 };
                 self.threads.push(state);
+                self.gates.push(self.entry_of(child));
                 if let Some(dst) = dst {
                     self.threads[tid.index()].locals[dst.index()] = child.index() as i64;
                 }
@@ -870,6 +933,7 @@ impl<'p> Execution<'p> {
         observer.on_acquire(w, SyncObjectId::Condvar(cv));
         if let ThreadStatus::WaitingCondvar { mutex, .. } = self.threads[w.index()].status {
             self.threads[w.index()].status = ThreadStatus::Reacquiring { mutex };
+            self.refresh(w);
         }
     }
 
@@ -1000,6 +1064,27 @@ impl<'p> Execution<'p> {
         }
         h.finish()
     }
+}
+
+/// What a thread's enabledness depends on, derived from the thread's own state
+/// by [`Execution::gate_of`] and checked against live object state by
+/// [`Execution::gate_open`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Gate {
+    /// Enabled whatever other threads do, including at an operation whose
+    /// operand does not resolve (executing it reports the bug).
+    Open,
+    /// Finished, or blocked in a condition or barrier wait: only a change to
+    /// the thread's own state reopens it.
+    Closed,
+    /// Enabled while mutex instance `m` is free: a `Lock`, or re-acquiring
+    /// after a condition wake.
+    MutexFree(usize),
+    /// Enabled while semaphore instance `s` has a positive count.
+    SemPositive(usize),
+    /// A `Join` on thread index `t`: enabled once `t` has finished, or while
+    /// no thread `t` exists yet (executing then reports `InvalidJoin`).
+    Joined(usize),
 }
 
 fn scan_offsets(lens: impl Iterator<Item = u32>) -> Vec<usize> {
@@ -1686,6 +1771,144 @@ mod tests {
             assert!(wakes.condvar > 0, "no schedule woke the condvar waiter");
             assert!(wakes.barrier > 0, "no schedule released the barrier");
         }
+    }
+
+    /// A program that reaches every gate kind: two threads contending for a
+    /// lock; three condition waiters woken by a `Signal` and a `Broadcast`,
+    /// which then re-acquire the mutex; a semaphore wait blocked until its
+    /// post; a barrier releasing its waiter; joins on a running thread, on
+    /// the index of a thread main spawns last (an `InvalidJoin` when it runs
+    /// first) and on a negative index (an `InvalidJoin` ending every run that
+    /// gets that far); and 78 threads in all. Returns the last thread's index.
+    fn every_gate() -> (Program, usize) {
+        const FILLERS: usize = 64;
+        const LAST: usize = 13 + FILLERS;
+        let mut p = ProgramBuilder::new("every-gate");
+        let ready = p.global("ready", 0);
+        let count = p.global("count", 0);
+        let m = p.mutex("m");
+        let cv = p.condvar("cv");
+        let s = p.sem("s", 0);
+        let bar = p.barrier("bar", 2);
+        let late_joiner = p.thread("late_joiner", |b| b.join(LAST));
+        let locker = p.thread("locker", |b| {
+            b.lock(m);
+            b.fetch_add(count, 1);
+            b.unlock(m);
+        });
+        let waiter = p.thread("waiter", |b| {
+            let r = b.local("r");
+            b.lock(m);
+            b.load(ready, r);
+            b.while_(eq(r, 0), |b| {
+                b.wait(cv, m);
+                b.load(ready, r);
+            });
+            b.unlock(m);
+        });
+        let signaller = p.thread("signaller", |b| {
+            b.lock(m);
+            b.store(ready, 1);
+            b.signal(cv);
+            b.unlock(m);
+        });
+        let broadcaster = p.thread("broadcaster", |b| {
+            b.lock(m);
+            b.store(ready, 1);
+            b.broadcast(cv);
+            b.unlock(m);
+        });
+        let sem_waiter = p.thread("sem_waiter", |b| b.sem_wait(s));
+        let sem_poster = p.thread("sem_poster", |b| b.sem_post(s));
+        let arriver = p.thread("arriver", |b| {
+            b.barrier_wait(bar);
+            b.fetch_add(count, 1);
+        });
+        let filler = p.thread("filler", |b| b.fetch_add(count, 1));
+        let last = p.thread("last", |b| b.yield_());
+        p.main(|b| {
+            for t in [late_joiner, locker, locker, waiter, waiter, waiter] {
+                b.spawn(t);
+            }
+            for t in [signaller, broadcaster, sem_waiter, sem_poster] {
+                b.spawn(t);
+            }
+            b.spawn(arriver);
+            b.spawn(arriver);
+            b.for_range("i", 0, FILLERS, |b, _| b.spawn(filler));
+            let h = b.local("h");
+            b.spawn_into(last, h);
+            b.join(h);
+            b.join(1);
+            b.join(-1);
+        });
+        (p.build().unwrap(), LAST)
+    }
+
+    #[test]
+    fn cached_gates_match_a_from_scratch_evaluation_at_every_step() {
+        let (prog, last) = every_gate();
+        let config = ExecConfig::all_visible();
+        let mut exec = Execution::new_shared(&prog, &config);
+        let mut blocked = std::collections::BTreeSet::new();
+        let mut woken_per_step = std::collections::BTreeSet::new();
+        let mut outcomes = std::collections::BTreeSet::new();
+        let mut barrier_releases = 0;
+        let mut max_threads = 0;
+        for k in 0..48u64 {
+            exec.reset();
+            let mut wakes = Wakes::default();
+            let mut rng = k;
+            exec.start(&mut wakes);
+            while !exec.is_terminal() {
+                // Checked here as well as in `fill_point`, so the test also
+                // checks release builds.
+                exec.assert_gates_fresh();
+                for (t, &(gate, _)) in exec.gates.iter().enumerate() {
+                    let reacquiring =
+                        matches!(exec.threads[t].status, ThreadStatus::Reacquiring { .. });
+                    blocked.insert(match gate {
+                        Gate::Joined(target) if target >= exec.threads.len() => "unspawned join",
+                        _ if exec.gate_open(gate) => continue,
+                        Gate::MutexFree(_) if reacquiring => "reacquire",
+                        Gate::MutexFree(_) => "lock",
+                        Gate::SemPositive(_) => "sem",
+                        Gate::Joined(_) => "join",
+                        Gate::Open | Gate::Closed => continue,
+                    });
+                }
+                let point = exec.scheduling_point(&exec.enabled_threads());
+                let before = wakes.condvar;
+                exec.step(pick(k, &point, &mut rng), &mut wakes);
+                woken_per_step.insert((wakes.condvar - before).min(2));
+            }
+            exec.assert_gates_fresh();
+            barrier_releases += wakes.barrier;
+            max_threads = max_threads.max(exec.thread_count());
+            outcomes.insert(match exec.bug() {
+                Some(&Bug::InvalidJoin { target, .. }) => target,
+                other => panic!("schedule {k}: unexpected {other:?}"),
+            });
+            // Stepping by hand matches `run` on a fresh execution.
+            let mut rng = k;
+            let fresh = Execution::new(&prog, config.clone())
+                .run(&mut |p| pick(k, p, &mut rng), &mut NoopObserver);
+            assert_eq!(exec.outcome().steps, fresh.steps, "schedule {k}");
+        }
+        assert_eq!(
+            blocked.into_iter().collect::<Vec<_>>(),
+            ["join", "lock", "reacquire", "sem", "unspawned join"]
+        );
+        // Some step woke no waiter, some exactly one (a signal), some more
+        // than one (a broadcast).
+        assert_eq!(woken_per_step.into_iter().collect::<Vec<_>>(), [0, 1, 2]);
+        assert!(barrier_releases > 0, "no schedule released the barrier");
+        assert_eq!(max_threads, last + 1);
+        assert_eq!(
+            outcomes.into_iter().collect::<Vec<_>>(),
+            [-1, last as i64],
+            "InvalidJoin targets"
+        );
     }
 
     #[test]

@@ -646,8 +646,9 @@ fn stolen_levels_with_cache_and_por_match_the_serial_levels_under_truncation() {
     // Iterative bounding with the schedule cache and sleep sets in every
     // combination, at a limit that cuts a bound level mid-way and at one that
     // does not: the stolen levels must reproduce the serial statistics —
-    // sleep counters, executions and the cache counters the fold charges
-    // through its mirror included — at every differential worker count.
+    // sleep counters, executions and the cache counters included (the fold
+    // is the private trie's only writer, so the trie's own counters are
+    // exact) — at every differential worker count.
     // POR levels under a pruning bound stay serial, so there equality holds
     // by construction.
     for name in ["CS.din_phil2_sat", "CS.reorder_3_bad", "CS.twostage_bad"] {
