@@ -128,15 +128,24 @@ impl From<io::Error> for CorpusError {
     }
 }
 
+/// Version of the interpreter semantics a saved trie was recorded under. A
+/// trie maps decision prefixes to terminal digests, so an engine change that
+/// alters any schedule's digest makes every old trie wrong; bumping this
+/// turns such tries into key mismatches instead of silently served rows.
+/// The integration test `engine_epoch_pins_the_terminal_digest_stream`
+/// fails when the digests of a fixed search change, and says to bump it.
+const ENGINE_EPOCH: u64 = 1;
+
 /// Fingerprint of the (program, execution configuration) pair a corpus
-/// artifact is valid for: a hash of the pair's wire encoding. The encoding
-/// covers every [`ExecConfig`] field (visibility with its racy locations
-/// sorted, so the key is set-order independent, and the execution limits) —
-/// everything that changes which scheduling points the deterministic program
-/// produces — so the fields that invalidate a memo are listed once, in the
-/// wire table below.
+/// artifact is valid for: a hash of the pair's wire encoding and the
+/// `ENGINE_EPOCH`. The encoding covers every [`ExecConfig`] field
+/// (visibility with its racy locations sorted, so the key is set-order
+/// independent, and the execution limits) — everything that changes which
+/// scheduling points the deterministic program produces — so the fields
+/// that invalidate a memo are listed once, in the wire table below.
 pub fn corpus_key(program_name: &str, config: &ExecConfig) -> u64 {
     let mut w = Writer::default();
+    w.u64(ENGINE_EPOCH);
     w.str(program_name);
     config.put(&mut w);
     checksum(&w.buf)

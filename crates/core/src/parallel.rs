@@ -1,11 +1,12 @@
 //! A deterministic worker pool for fanning independent units out.
 //!
-//! The study parallelises at two levels. Benchmarks × techniques are
-//! independent units, fanned out over [`map_indexed`] by the harness; one
-//! systematic search is split across threads by the work-stealing producer
-//! of [`crate::steal`]. Either way the results are deterministic: slot `i`
-//! of [`map_indexed`] always holds unit `i`'s result, and a stolen search
-//! folds its visits in serial order.
+//! The study parallelises at two levels. Its (benchmark, technique) units
+//! are independent, and the harness runs them in one flat [`map_indexed`]
+//! pool (a campaign benchmark's units as one serial chain); one systematic
+//! search is split across threads by the work-stealing producer of
+//! [`crate::steal`]. Either way the results are deterministic: slot `i` of
+//! [`map_indexed`] always holds unit `i`'s result, and a stolen search folds
+//! its visits in serial order.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};

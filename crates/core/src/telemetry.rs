@@ -111,7 +111,7 @@ events! {
         techniques: u64,
         /// Terminal-schedule budget per technique.
         schedule_limit: u64,
-        /// Outer benchmark/technique worker count.
+        /// Number of (benchmark, technique) units run at once.
         workers: u64,
         /// Within-technique steal worker count.
         steal_workers: u64,
@@ -123,16 +123,18 @@ events! {
         /// Total wall-clock time.
         wall_nanos: u64,
     }
-    /// One benchmark's pipeline (race phase + every technique) began.
+    /// The first of one benchmark's technique units started (its race
+    /// phase has already run).
     BenchmarkStart = "benchmark_start" {
         /// Registry name, e.g. `CS.reorder_3`.
         benchmark: String,
     }
-    /// The benchmark's pipeline finished.
+    /// The last of the benchmark's technique units finished (in campaign
+    /// mode, after its corpus was saved).
     BenchmarkFinish = "benchmark_finish" {
         /// Registry name.
         benchmark: String,
-        /// Wall-clock time for the whole benchmark.
+        /// Wall-clock time since its first unit started.
         wall_nanos: u64,
     }
     /// Phase 1 finished: the dynamic race-detection runs (or the static

@@ -12,7 +12,9 @@
 //! serve the interior already covered at lower bound levels from a
 //! decision-prefix memo; `--steal-workers N` splits each systematic search's
 //! own frontier across N work-stealing threads (statistics stay
-//! bit-identical); `--workers N` fans benchmarks × techniques out;
+//! bit-identical); `--workers N` runs N (benchmark, technique) units at once
+//! from one flat pool (in campaign mode a benchmark's units form one serial
+//! chain);
 //! `--corpus-dir DIR` persists each benchmark's schedule trie and minimized
 //! bug prefixes as durable artifacts ("campaign mode"), and `--resume` seeds
 //! the run from those artifacts so a killed study picks up where it left off
@@ -20,7 +22,9 @@
 //! `--checkpoint-every DUR` sets the campaign's mid-run trie autosave
 //! cadence (default 30s), bounding what a SIGKILL can lose.
 //! `--time-budget DUR` caps each technique's wall clock and
-//! `--benchmark-deadline DUR` caps each benchmark's; a unit that runs out
+//! `--benchmark-deadline DUR` caps each benchmark's, counted from the start
+//! of its first unit: units of one benchmark may overlap, and each gets the
+//! time left when it starts. A unit that runs out
 //! stops at a schedule boundary and reports its partial counts with the
 //! `deadline_exceeded` CSV column set (durations accept `ms`/`s`/`m`/`h`
 //! suffixes; a bare number means seconds).

@@ -4,13 +4,16 @@ use sct_core::corpus::{corpus_key, harvest_bugs, BugCorpus, Corpus, CorpusError}
 use sct_core::stats::ExplorationStats;
 use sct_core::telemetry::{Event, Telemetry};
 use sct_core::{default_workers, explore, map_indexed, ExploreLimits, SharedCache, Technique};
+use sct_ir::Program;
 use sct_race::{race_detection_phase, RacePhaseConfig};
 use sct_runtime::ExecConfig;
 use sctbench::{all_benchmarks, BenchmarkSpec};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -36,12 +39,12 @@ pub struct HarnessConfig {
     pub static_phase: bool,
     /// Include PCT as an additional (non-paper) technique.
     pub include_pct: bool,
-    /// Number of worker threads the study fans benchmarks × techniques out
-    /// over (1 = fully serial). Each (benchmark, technique) cell still runs
-    /// its schedulers with their serial seeds, so the collected statistics
-    /// are identical to a serial run at any worker count. In campaign mode a
-    /// benchmark's techniques run one at a time (benchmarks still fan out),
-    /// so they grow its shared trie in a fixed order.
+    /// Number of (benchmark, technique) units run at once, in one flat pool
+    /// (1 = fully serial). Each unit still runs its schedulers with their
+    /// serial seeds, so the collected statistics are identical to a serial
+    /// run at any worker count. In campaign mode a benchmark's units form one
+    /// chain, a single pool item that grows its shared trie in technique
+    /// order.
     pub workers: usize,
     /// Enable sleep-set partial-order reduction in the systematic searches
     /// (DFS, IPB, IDB). Off by default because the paper's study ran without
@@ -90,12 +93,13 @@ pub struct HarnessConfig {
     /// in time. The flag is excluded from stats equality, so a run where no
     /// deadline fires is bit-identical to an unbudgeted run.
     pub time_budget: Option<Duration>,
-    /// Per-benchmark wall-clock deadline (`--benchmark-deadline`). Each
-    /// technique unit starts with the time remaining until the benchmark's
-    /// deadline as its budget (combined with [`HarnessConfig::time_budget`]
-    /// by taking the minimum), so an over-deadline benchmark still reports a
-    /// row for every technique — late rows are marked `deadline_exceeded`
-    /// with whatever partial work they finished.
+    /// Per-benchmark wall-clock deadline (`--benchmark-deadline`), counted
+    /// from the moment the benchmark's first unit starts. Units may overlap;
+    /// each one starts with the time left until the deadline when it starts
+    /// as its budget (combined with [`HarnessConfig::time_budget`] by taking
+    /// the minimum), so an over-deadline benchmark still reports a row for
+    /// every technique — late rows are marked `deadline_exceeded` with
+    /// whatever partial work they finished.
     pub benchmark_deadline: Option<Duration>,
     /// Campaign checkpoint cadence (`--checkpoint-every`): with
     /// [`HarnessConfig::corpus_dir`] set, a background thread autosaves the
@@ -138,91 +142,51 @@ impl Default for HarnessConfig {
     }
 }
 
-/// Background autosave of a campaign benchmark's shared trie: a thread that
-/// saves every `every` and once more when told to stop, so each campaign
-/// benchmark checkpoints at least once and a kill at any point loses at most
-/// `every` of exploration. Dropping the handle stops and joins the thread —
-/// always before the benchmark's final save, so the two never race on the
-/// artifact's temporary file.
-struct Checkpointer {
-    stop: Arc<(Mutex<bool>, Condvar)>,
-    handle: Option<thread::JoinHandle<()>>,
-}
-
-impl Checkpointer {
-    fn spawn(
-        corpus: Corpus,
-        benchmark: String,
-        key: u64,
-        shared: Arc<SharedCache>,
-        telemetry: Telemetry,
-        every: Duration,
-    ) -> Checkpointer {
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let thread_stop = Arc::clone(&stop);
-        let handle = thread::spawn(move || loop {
-            let stopped = {
-                let (lock, signal) = &*thread_stop;
-                let guard = lock.lock().unwrap_or_else(|e| e.into_inner());
-                let (guard, _) = signal
-                    .wait_timeout_while(guard, every, |stopped| !*stopped)
-                    .unwrap_or_else(|e| e.into_inner());
-                *guard
-            };
-            // Save even on the stop signal (it is the same bytes the final
-            // save is about to publish, one rename apart). A failing
-            // checkpoint is best-effort by design: the retry loop inside
-            // `save_cache` already absorbed transient errors, and a
-            // persistent one will surface from the benchmark's final save.
-            let (saved, bytes, schedules) = shared.with_live(|cache| {
-                (
-                    corpus.save_cache(&benchmark, key, cache),
-                    cache.bytes(),
-                    cache.insertions(),
-                )
-            });
-            if saved.is_ok() {
-                telemetry.emit(|| Event::CheckpointSaved {
-                    benchmark: benchmark.clone(),
-                    bytes,
-                    schedules,
-                });
-            }
-            if stopped {
-                break;
-            }
+/// Background autosave of a campaign benchmark's shared trie: saves every
+/// `every` and once more when `stop` disconnects, so each campaign benchmark
+/// checkpoints at least once and a kill at any point loses at most `every`
+/// of exploration.
+fn checkpoint(
+    corpus: &Corpus,
+    benchmark: &str,
+    key: u64,
+    shared: &SharedCache,
+    telemetry: &Telemetry,
+    every: Duration,
+    stop: mpsc::Receiver<()>,
+) {
+    loop {
+        let stopped = stop.recv_timeout(every) != Err(RecvTimeoutError::Timeout);
+        // Save even on the stop signal (it is the same bytes the final save
+        // is about to publish, one rename apart). A failing checkpoint is
+        // best-effort by design: the retry loop inside `save_cache` already
+        // absorbed transient errors, and a persistent one will surface from
+        // the benchmark's final save.
+        let (saved, bytes, schedules) = shared.with_live(|cache| {
+            (
+                corpus.save_cache(benchmark, key, cache),
+                cache.bytes(),
+                cache.insertions(),
+            )
         });
-        Checkpointer {
-            stop,
-            handle: Some(handle),
+        if saved.is_ok() {
+            telemetry.emit(|| Event::CheckpointSaved {
+                benchmark: benchmark.to_string(),
+                bytes,
+                schedules,
+            });
+        }
+        if stopped {
+            return;
         }
     }
 }
 
-impl Drop for Checkpointer {
-    fn drop(&mut self) {
-        let (lock, signal) = &*self.stop;
-        *lock.lock().unwrap_or_else(|e| e.into_inner()) = true;
-        signal.notify_all();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// The wall-clock budget a technique unit starting `elapsed` into its
-/// benchmark gets: the smaller of the per-technique budget and the time left
-/// until the benchmark's deadline (an already-passed deadline yields a zero
-/// budget — the unit still runs and reports a `deadline_exceeded` row, it
-/// just stops at its first schedule boundary).
+/// The wall-clock budget of a unit starting `elapsed` into its benchmark
+/// (see [`HarnessConfig::benchmark_deadline`]).
 fn effective_budget(config: &HarnessConfig, elapsed: Duration) -> Option<Duration> {
-    let remaining = config
-        .benchmark_deadline
-        .map(|deadline| deadline.saturating_sub(elapsed));
-    match (config.time_budget, remaining) {
-        (Some(budget), Some(remaining)) => Some(budget.min(remaining)),
-        (budget, remaining) => budget.or(remaining),
-    }
+    let remaining = config.benchmark_deadline.map(|d| d.saturating_sub(elapsed));
+    config.time_budget.into_iter().chain(remaining).min()
 }
 
 /// Human-readable form of a caught panic payload.
@@ -270,36 +234,26 @@ impl BenchmarkResult {
 
     /// Whether the named technique found the benchmark's bug.
     pub fn found_by(&self, label: &str) -> bool {
-        self.technique(label)
-            .map(|t| t.found_bug())
-            .unwrap_or(false)
+        self.technique(label).is_some_and(|t| t.found_bug())
     }
 
     /// Maximum observed value of the "# threads" column across techniques.
     pub fn threads(&self) -> usize {
-        self.techniques
-            .iter()
-            .map(|t| t.total_threads)
-            .max()
-            .unwrap_or(0)
+        self.max_of(|t| t.total_threads)
     }
 
     /// Maximum observed "# max enabled threads".
     pub fn max_enabled(&self) -> usize {
-        self.techniques
-            .iter()
-            .map(|t| t.max_enabled_threads)
-            .max()
-            .unwrap_or(0)
+        self.max_of(|t| t.max_enabled_threads)
     }
 
     /// Maximum observed "# max scheduling points".
     pub fn max_scheduling_points(&self) -> usize {
-        self.techniques
-            .iter()
-            .map(|t| t.max_scheduling_points)
-            .max()
-            .unwrap_or(0)
+        self.max_of(|t| t.max_scheduling_points)
+    }
+
+    fn max_of(&self, field: impl Fn(&ExplorationStats) -> usize) -> usize {
+        self.techniques.iter().map(field).max().unwrap_or(0)
     }
 }
 
@@ -315,7 +269,7 @@ pub struct StudyResults {
     pub por: bool,
     /// Whether iterative bounding ran with the schedule cache.
     pub cache: bool,
-    /// Outer benchmark/technique worker count the study ran with.
+    /// Number of (benchmark, technique) units the study ran at once.
     pub workers: usize,
     /// Within-technique steal worker count the study ran with.
     pub steal_workers: usize,
@@ -323,186 +277,196 @@ pub struct StudyResults {
 
 /// The techniques a study run uses, in Table 3 column order.
 pub fn study_techniques(config: &HarnessConfig) -> Vec<Technique> {
+    let seed = config.seed;
     let mut ts = vec![
         Technique::IterativePreemptionBounding,
         Technique::IterativeDelayBounding,
         Technique::Dfs,
-        Technique::Random { seed: config.seed },
+        Technique::Random { seed },
         Technique::MapleLike {
             profiling_runs: 10,
-            seed: config.seed,
+            seed,
         },
     ];
     if config.include_pct {
-        ts.push(Technique::Pct {
-            depth: 3,
-            seed: config.seed,
-        });
+        ts.push(Technique::Pct { depth: 3, seed });
     }
     ts
 }
 
-/// Run the full pipeline (race detection + every technique) on a single
-/// benchmark. With [`HarnessConfig::corpus_dir`] set, the benchmark's trie
-/// is loaded (on `resume`) before the techniques run and saved — together
-/// with its harvested, minimized bug corpus — after they finish; corpus
-/// errors (unreadable directory, corrupt or mismatched artifact) abort the
-/// benchmark rather than silently degrading to a cold one-shot run.
-pub fn run_benchmark(
-    spec: &BenchmarkSpec,
-    config: &HarnessConfig,
-) -> Result<BenchmarkResult, CorpusError> {
-    let bench_started = Instant::now();
-    config.telemetry.emit(|| Event::BenchmarkStart {
-        benchmark: spec.name.to_string(),
-    });
-    let program = spec.program();
+/// Stage 1's output for one benchmark: its result row without the technique
+/// rows, what its units read, and the clock and countdown that bracket its
+/// `benchmark_start` / `benchmark_finish` events.
+struct Bench {
+    result: BenchmarkResult,
+    program: Program,
+    exec_config: ExecConfig,
+    /// Phase-1 wall clock, stamped onto every technique row.
+    race_nanos: u64,
+    /// Set, with `benchmark_start` emitted, by the first unit that starts;
+    /// `--benchmark-deadline` counts from it.
+    started: OnceLock<Instant>,
+    /// Units not yet finished: the one that takes it to zero emits
+    /// `benchmark_finish`.
+    pending: AtomicUsize,
+}
 
-    // Static triage always runs: it is microseconds per benchmark and its
-    // counts are study output (Table 3's static columns) either way.
-    let analysis = sct_analysis::analyze(&program);
-    let static_locations = analysis.candidate_locations();
+impl Bench {
+    /// Stage 1: build `spec`'s program and run its race-detection phase (or
+    /// the static stand-in) for `units` technique units to share.
+    fn prepare(spec: &BenchmarkSpec, config: &HarnessConfig, units: usize) -> Self {
+        let program = spec.program();
+        // Static triage always runs: it is microseconds per benchmark and its
+        // counts are study output (Table 3's static columns) either way.
+        let analysis = sct_analysis::analyze(&program);
+        let static_locations = analysis.candidate_locations();
 
-    // Phase 1: data-race detection (§5 of the paper) — or its static
-    // replacement. `--static-phase` skips the 10 uncontrolled runs and
-    // promotes the analyzer's candidate locations instead, which are a sound
-    // superset of what the dynamic phase can find.
-    let phase_started = Instant::now();
-    let (races, race_runs, racy) = if config.static_phase {
-        (0, 0, static_locations.iter().copied().collect::<Vec<_>>())
-    } else {
-        let race_config = RacePhaseConfig {
-            runs: config.race_runs,
-            seed: config.seed,
-            ..Default::default()
+        // Phase 1: data-race detection (§5 of the paper) — or its static
+        // replacement. `--static-phase` skips the 10 uncontrolled runs and
+        // promotes the analyzer's candidate locations instead, which are a
+        // sound superset of what the dynamic phase can find.
+        let phase_started = Instant::now();
+        let (races, race_runs, racy) = if config.static_phase {
+            (0, 0, static_locations.iter().copied().collect::<Vec<_>>())
+        } else {
+            let race_config = RacePhaseConfig {
+                runs: config.race_runs,
+                seed: config.seed,
+                ..Default::default()
+            };
+            let report = race_detection_phase(&program, &race_config);
+            let racy = report.racy_locations().into_iter().collect::<Vec<_>>();
+            (report.races.len(), report.executions, racy)
         };
-        let report = race_detection_phase(&program, &race_config);
-        let racy = report.racy_locations().into_iter().collect::<Vec<_>>();
-        (report.races.len(), report.executions, racy)
-    };
-    // Phase-1 wall clock, stamped onto every technique row below so the CSV
-    // carries it; zero under `--static-phase` would misattribute the (cheap)
-    // analyzer run, so the measured value covers whichever branch ran.
-    let race_nanos = phase_started.elapsed().as_nanos() as u64;
-    config.telemetry.emit(|| Event::RacePhase {
-        benchmark: spec.name.to_string(),
-        runs: race_runs as u64,
-        races: races as u64,
-        racy_locations: racy.len() as u64,
-        static_phase: config.static_phase,
-        wall_nanos: race_nanos,
-    });
+        // Zero under `--static-phase` would misattribute the (cheap) analyzer
+        // run, so the measured value covers whichever branch ran.
+        let race_nanos = phase_started.elapsed().as_nanos() as u64;
+        config.telemetry.emit(|| Event::RacePhase {
+            benchmark: spec.name.to_string(),
+            runs: race_runs as u64,
+            races: races as u64,
+            racy_locations: racy.len() as u64,
+            static_phase: config.static_phase,
+            wall_nanos: race_nanos,
+        });
 
-    // Phase 2: the exploration techniques, all sharing the same racy-location
-    // information (as the paper stresses, the race results are shared so the
-    // comparison between techniques is fair).
-    let exec_config = if config.static_phase || config.use_race_phase {
-        ExecConfig::with_racy_locations(racy.iter().copied())
-    } else {
-        ExecConfig::all_visible()
-    };
+        // Phase 2's techniques all share the same racy-location information
+        // (as the paper stresses, so the comparison between them is fair).
+        let exec_config = if config.static_phase || config.use_race_phase {
+            ExecConfig::with_racy_locations(racy.iter().copied())
+        } else {
+            ExecConfig::all_visible()
+        };
+        Bench {
+            result: BenchmarkResult {
+                id: spec.id,
+                name: spec.name.to_string(),
+                suite: spec.suite.name().to_string(),
+                races,
+                racy_locations: racy.len(),
+                static_candidates: analysis.candidates.len(),
+                static_locations: static_locations.len(),
+                techniques: Vec::new(),
+                paper: spec.paper,
+            },
+            program,
+            exec_config,
+            race_nanos,
+            started: OnceLock::new(),
+            pending: AtomicUsize::new(units),
+        }
+    }
+}
+
+/// Stage 2 for one chain: `techniques` of `bench`, one after another. With
+/// [`HarnessConfig::corpus_dir`] set, the chain is the benchmark's whole
+/// technique list: its trie is loaded (on `resume`) before the first unit
+/// and saved — together with its harvested, minimized bug corpus — after the
+/// last, so the trie is released when its benchmark finishes. Corpus errors
+/// (unreadable directory, corrupt or mismatched artifact) abort the benchmark
+/// rather than silently degrading to a cold one-shot run.
+fn run_chain(
+    bench: &Bench,
+    techniques: &[Technique],
+    config: &HarnessConfig,
+) -> Result<Vec<ExplorationStats>, CorpusError> {
+    let (name, program, exec_config) = (&*bench.result.name, &bench.program, &bench.exec_config);
+    // The first unit to start sets the benchmark's clock and announces it.
+    let started = *bench.started.get_or_init(|| {
+        config.telemetry.emit(|| Event::BenchmarkStart {
+            benchmark: name.to_string(),
+        });
+        Instant::now()
+    });
     // Campaign mode: one shared trie per benchmark, keyed on the exact
     // exploration configuration so artifacts from a different visibility /
     // step-limit setup are rejected on load rather than mixed in.
-    let corpus = match &config.corpus_dir {
-        Some(dir) => Some(Corpus::open(dir)?),
-        None => None,
-    };
-    let key = corpus_key(spec.name, &exec_config);
-    let shared = match &corpus {
-        Some(c) => {
-            let loaded = match config.resume {
-                true => {
-                    let loaded = c.load_cache(spec.name, key)?;
-                    // Before the loaded trie serves anything, its bug
-                    // records must still reproduce.
-                    c.audit_bugs(spec.name, &program, &exec_config)?;
-                    loaded
-                }
-                false => None,
-            };
-            if let Some(cache) = &loaded {
-                config.telemetry.emit(|| Event::CorpusLoaded {
-                    benchmark: spec.name.to_string(),
-                    bytes: cache.bytes(),
-                    buggy_schedules: cache.buggy_schedules().len() as u64,
-                });
-            }
-            Some(Arc::new(SharedCache::of(loaded.unwrap_or_default())))
-        }
-        None => None,
-    };
+    let corpus = config.corpus_dir.as_ref().map(Corpus::open).transpose()?;
+    let key = corpus_key(name, exec_config);
+    let mut loaded = None;
+    if let (Some(c), true) = (&corpus, config.resume) {
+        loaded = c.load_cache(name, key)?;
+        // Before the loaded trie serves anything, its bug records must
+        // still reproduce.
+        c.audit_bugs(name, program, exec_config)?;
+    }
+    if let Some(cache) = &loaded {
+        config.telemetry.emit(|| Event::CorpusLoaded {
+            benchmark: name.to_string(),
+            bytes: cache.bytes(),
+            buggy_schedules: cache.buggy_schedules().len() as u64,
+        });
+    }
+    let shared = corpus
+        .as_ref()
+        .map(|_| Arc::new(SharedCache::of(loaded.unwrap_or_default())));
     let limits = ExploreLimits::with_schedule_limit(config.schedule_limit)
         .with_por(config.por)
         .with_cache(config.cache)
         .with_steal_workers(config.steal_workers)
         .with_shared_cache(shared.clone())
         .with_telemetry(config.telemetry.clone());
-    let caching = config.cache || shared.is_some();
-    // Crash-safe checkpointing: in campaign mode, autosave the shared trie
-    // on a cadence so a SIGKILL mid-benchmark only loses the tail since the
-    // last checkpoint. Stopped (via drop) before the final save below.
-    let checkpointer = match (&corpus, &shared, config.checkpoint_every) {
-        (Some(c), Some(shared), Some(every)) => Some(Checkpointer::spawn(
-            c.clone(),
-            spec.name.to_string(),
-            key,
-            Arc::clone(shared),
-            config.telemetry.clone(),
-            every,
-        )),
-        _ => None,
-    };
-    let technique_list = study_techniques(config);
-    // A campaign arena is grown by one search at a time, in technique order:
-    // its saved content then does not depend on thread timing, and a
-    // panic's rollback never runs under another search's live view.
-    let unit_workers = if shared.is_some() { 1 } else { config.workers };
-    let techniques = map_indexed(technique_list.len(), unit_workers, |i| {
-        let t = technique_list[i];
+    let run_unit = |t: Technique| {
         config.telemetry.emit(|| Event::TechniqueStart {
-            benchmark: spec.name.to_string(),
+            benchmark: name.to_string(),
             technique: t.label().to_string(),
         });
-        let budget = effective_budget(config, bench_started.elapsed());
+        let budget = effective_budget(config, started.elapsed());
         let unit_limits = limits.clone().with_time_budget(budget);
         // Panic isolation: an engine blowing up must cost one row, not the
         // study. The shared trie is recovered to its load-time baseline (the
         // panicking unit may have died mid-insertion, and `catch_unwind`
         // makes any torn state observable to the remaining units), and the
         // unit reports a synthesized `engine_panic` row instead.
-        let unit = catch_unwind(AssertUnwindSafe(|| {
-            explore::run_technique(&program, &exec_config, t, &unit_limits)
-        }));
-        let mut stats = match unit {
-            Ok(stats) => stats,
-            Err(payload) => {
-                if let Some(shared) = &shared {
-                    shared.restore_baseline();
-                }
-                let panic = panic_text(payload);
-                config.telemetry.emit(|| Event::EnginePanic {
-                    benchmark: spec.name.to_string(),
-                    technique: t.label().to_string(),
-                    panic: panic.clone(),
-                });
-                let mut row = ExplorationStats::new(t.label());
-                row.engine_panic = true;
-                row
+        let mut stats = catch_unwind(AssertUnwindSafe(|| {
+            explore::run_technique(program, exec_config, t, &unit_limits)
+        }))
+        .unwrap_or_else(|payload| {
+            if let Some(shared) = &shared {
+                shared.restore_baseline();
             }
-        };
+            let panic = panic_text(payload);
+            config.telemetry.emit(|| Event::EnginePanic {
+                benchmark: name.to_string(),
+                technique: t.label().to_string(),
+                panic: panic.clone(),
+            });
+            let mut row = ExplorationStats::new(t.label());
+            row.engine_panic = true;
+            row
+        });
         stats.technique = t.label().to_string();
-        stats.race_nanos = race_nanos;
+        stats.race_nanos = bench.race_nanos;
         if stats.deadline_exceeded {
             config.telemetry.emit(|| Event::DeadlineExceeded {
-                benchmark: spec.name.to_string(),
+                benchmark: name.to_string(),
                 technique: stats.technique.clone(),
                 schedules: stats.schedules,
                 budget_nanos: budget.map(|b| b.as_nanos() as u64).unwrap_or(0),
             });
         }
         config.telemetry.emit(|| Event::TechniqueFinish {
-            benchmark: spec.name.to_string(),
+            benchmark: name.to_string(),
             technique: stats.technique.clone(),
             schedules: stats.schedules,
             executions: stats.executions,
@@ -510,7 +474,7 @@ pub fn run_benchmark(
             found_bug: stats.found_bug(),
             wall_nanos: stats.explore_nanos,
         });
-        if caching {
+        if config.cache || shared.is_some() {
             config.telemetry.emit(|| Event::CacheSummary {
                 program: program.name.clone(),
                 technique: stats.technique.clone(),
@@ -520,66 +484,112 @@ pub fn run_benchmark(
             });
         }
         stats
+    };
+    // Crash-safe checkpointing: in campaign mode, a scoped thread autosaves
+    // the shared trie on a cadence, so a SIGKILL mid-benchmark only loses the
+    // tail since the last checkpoint.
+    let (stop, stopped) = mpsc::channel();
+    let rows = thread::scope(|scope| {
+        if let (Some(c), Some(shared), Some(every)) = (&corpus, &shared, config.checkpoint_every) {
+            let telemetry = &config.telemetry;
+            scope.spawn(move || checkpoint(c, name, key, shared, telemetry, every, stopped));
+        }
+        let rows: Vec<_> = techniques.iter().map(|&t| run_unit(t)).collect();
+        // Stop the checkpoint thread; the scope joins it before the final
+        // save below, so the two never write the artifact's temporary file
+        // concurrently.
+        drop(stop);
+        rows
     });
-    // Stop (and join) the checkpoint thread before the final save so the two
-    // never write the artifact's temporary file concurrently.
-    drop(checkpointer);
 
     if let (Some(c), Some(shared)) = (&corpus, &shared) {
         let (saved, records, trie_bytes) = shared.with_live(|cache| {
             (
-                c.save_cache(spec.name, key, cache),
-                harvest_bugs(&program, &exec_config, cache),
+                c.save_cache(name, key, cache),
+                harvest_bugs(program, exec_config, cache),
                 cache.bytes(),
             )
         });
         saved?;
         for r in &records {
             config.telemetry.emit(|| Event::BugRecorded {
-                benchmark: spec.name.to_string(),
+                benchmark: name.to_string(),
                 bug: r.bug.to_string(),
                 decisions: r.prefix.len() as u64,
                 prefix: r.prefix.iter().map(|t| t.0 as u64).collect(),
             });
         }
         config.telemetry.emit(|| Event::CorpusSaved {
-            benchmark: spec.name.to_string(),
+            benchmark: name.to_string(),
             bytes: trie_bytes,
             bugs: records.len() as u64,
         });
         c.save_bugs(&BugCorpus {
-            benchmark: spec.name.to_string(),
+            benchmark: name.to_string(),
             config: exec_config.clone(),
             records,
         })?;
     }
-
-    config.telemetry.emit(|| Event::BenchmarkFinish {
-        benchmark: spec.name.to_string(),
-        wall_nanos: bench_started.elapsed().as_nanos() as u64,
-    });
-    Ok(BenchmarkResult {
-        id: spec.id,
-        name: spec.name.to_string(),
-        suite: spec.suite.name().to_string(),
-        races,
-        racy_locations: racy.len(),
-        static_candidates: analysis.candidates.len(),
-        static_locations: static_locations.len(),
-        techniques,
-        paper: spec.paper,
-    })
+    // The unit that finishes the benchmark's last row announces its end.
+    if bench.pending.fetch_sub(techniques.len(), Ordering::AcqRel) == techniques.len() {
+        config.telemetry.emit(|| Event::BenchmarkFinish {
+            benchmark: name.to_string(),
+            wall_nanos: started.elapsed().as_nanos() as u64,
+        });
+    }
+    Ok(rows)
 }
 
-/// Run the whole study over all 52 benchmarks (or a filtered subset),
-/// fanning the work out over `config.workers` threads.
+/// The one driver behind [`run_benchmark`] and [`run_study`]. Stage 1 fans
+/// out every benchmark's race phase; stage 2 runs one pool over the chains
+/// in registry × technique order; the rows are then regrouped in index
+/// order, so the output never depends on the worker count.
+fn run_benchmarks(
+    specs: &[BenchmarkSpec],
+    config: &HarnessConfig,
+) -> Result<Vec<BenchmarkResult>, CorpusError> {
+    let workers = config.workers.max(1);
+    let techniques = study_techniques(config);
+    let mut benches = map_indexed(specs.len(), workers, |b| {
+        Bench::prepare(&specs[b], config, techniques.len())
+    });
+    // One-shot, every unit is its own chain. A campaign arena is grown by one
+    // search at a time, in technique order: its saved content then does not
+    // depend on thread timing, and a panic's rollback never runs under
+    // another search's live view. So a campaign benchmark is one chain.
+    let chain = config.corpus_dir.as_ref().map_or(1, |_| techniques.len());
+    let chains: Vec<(usize, usize)> = (0..specs.len())
+        .flat_map(|b| (0..techniques.len()).step_by(chain).map(move |t| (b, t)))
+        .collect();
+    let rows = map_indexed(chains.len(), workers, |i| {
+        let (b, t) = chains[i];
+        run_chain(&benches[b], &techniques[t..t + chain], config)
+    });
+    for (&(b, _), rows) in chains.iter().zip(rows) {
+        benches[b].result.techniques.extend(rows?);
+    }
+    Ok(benches.into_iter().map(|bench| bench.result).collect())
+}
+
+/// Run the full pipeline (race detection + every technique) on a single
+/// benchmark: [`run_study`]'s path over one spec, so its technique units
+/// share `config.workers` threads (one chain in campaign mode).
+pub fn run_benchmark(
+    spec: &BenchmarkSpec,
+    config: &HarnessConfig,
+) -> Result<BenchmarkResult, CorpusError> {
+    let mut results = run_benchmarks(std::slice::from_ref(spec), config)?;
+    Ok(results.pop().expect("one spec yields one result"))
+}
+
+/// Run the whole study over all 52 benchmarks (or a filtered subset) on
+/// `config.workers` threads.
 ///
-/// Parallelism is applied at benchmark granularity first (the study has 52
-/// largely independent rows) and at technique granularity within each
-/// benchmark when workers outnumber benchmarks, except in campaign mode,
-/// where a benchmark's techniques run one at a time; every cell runs the same
-/// serial exploration either way, so the results — and their order — are
-/// identical to a `workers == 1` run.
+/// The pool's items are (benchmark, technique) units, run in registry ×
+/// technique order as workers free up, so every worker stays busy until the
+/// last unit starts; in campaign mode a benchmark's units form one chain.
+/// Every unit runs the same serial exploration at any worker count, so the
+/// results — and their order — are identical to a `workers == 1` run.
 pub fn run_study(
     config: &HarnessConfig,
     filter: Option<&str>,
@@ -587,10 +597,7 @@ pub fn run_study(
     let study_started = Instant::now();
     let specs: Vec<BenchmarkSpec> = all_benchmarks()
         .into_iter()
-        .filter(|spec| match filter {
-            Some(f) => spec.name.to_lowercase().contains(&f.to_lowercase()),
-            None => true,
-        })
+        .filter(|spec| filter.is_none_or(|f| spec.name.to_lowercase().contains(&f.to_lowercase())))
         .collect();
     config.telemetry.emit(|| Event::StudyStart {
         benchmarks: specs.len() as u64,
@@ -599,20 +606,7 @@ pub fn run_study(
         workers: config.workers.max(1) as u64,
         steal_workers: config.steal_workers.max(1) as u64,
     });
-    let workers = config.workers.max(1);
-    let outer = workers.min(specs.len().max(1));
-    // Leftover parallelism goes to the technique fan-out inside each
-    // benchmark (it matters for filtered single-benchmark runs).
-    let inner = (workers / outer).max(1);
-    let per_benchmark = HarnessConfig {
-        workers: inner,
-        ..config.clone()
-    };
-    let benchmarks = map_indexed(specs.len(), outer, |i| {
-        run_benchmark(&specs[i], &per_benchmark)
-    })
-    .into_iter()
-    .collect::<Result<Vec<_>, _>>()?;
+    let benchmarks = run_benchmarks(&specs, config)?;
     config.telemetry.emit(|| Event::StudyFinish {
         benchmarks: benchmarks.len() as u64,
         wall_nanos: study_started.elapsed().as_nanos() as u64,
@@ -736,28 +730,110 @@ mod tests {
 
     #[test]
     fn parallel_study_statistics_are_identical_to_the_serial_run() {
-        // Every (benchmark, technique) cell runs the same serial exploration
+        // Every (benchmark, technique) unit runs the same serial exploration
         // whatever the worker count, so the aggregate study output must be
         // seed-for-seed identical — systematic techniques (IPB/IDB/DFS)
-        // included.
-        let serial_cfg = HarnessConfig {
-            workers: 1,
-            por: false,
-            ..quick_config()
-        };
-        let parallel_cfg = HarnessConfig {
+        // included. One benchmark (more workers than its units' share) and
+        // three (units of different benchmarks overlapping) cover both ends
+        // of the pool.
+        for filter in ["CS.reorder_3", "splash2"] {
+            let serial_cfg = HarnessConfig {
+                workers: 1,
+                ..quick_config()
+            };
+            let serial = run_study(&serial_cfg, Some(filter)).unwrap();
+            for workers in [2, 4, 8] {
+                let parallel_cfg = HarnessConfig {
+                    workers,
+                    ..quick_config()
+                };
+                let parallel = run_study(&parallel_cfg, Some(filter)).unwrap();
+                assert_eq!(serial.benchmarks.len(), parallel.benchmarks.len());
+                for (s, p) in serial.benchmarks.iter().zip(&parallel.benchmarks) {
+                    assert_eq!(s.name, p.name);
+                    assert_eq!(s.races, p.races);
+                    assert_eq!(s.racy_locations, p.racy_locations);
+                    assert_eq!(s.techniques, p.techniques, "{} @ {workers}", s.name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn each_benchmark_is_bracketed_by_one_start_and_one_finish_event() {
+        use sct_core::telemetry::BufferRecorder;
+        let buffer = Arc::new(BufferRecorder::default());
+        let cfg = HarnessConfig {
             workers: 4,
-            por: false,
+            telemetry: Telemetry::new(vec![Box::new(Arc::clone(&buffer))]),
             ..quick_config()
         };
-        let serial = run_study(&serial_cfg, Some("splash2")).unwrap();
-        let parallel = run_study(&parallel_cfg, Some("splash2")).unwrap();
-        assert_eq!(serial.benchmarks.len(), parallel.benchmarks.len());
-        for (s, p) in serial.benchmarks.iter().zip(&parallel.benchmarks) {
-            assert_eq!(s.name, p.name);
-            assert_eq!(s.races, p.races);
-            assert_eq!(s.racy_locations, p.racy_locations);
-            assert_eq!(s.techniques, p.techniques, "{}", s.name);
+        let results = run_study(&cfg, Some("CS.reorder")).unwrap();
+        let field = |line: &str, key: &str| -> String {
+            let rest = line.split(&format!("\"{key}\":\"")).nth(1).unwrap_or("");
+            rest.split('"').next().unwrap_or("").to_string()
+        };
+        let lines = buffer.lines();
+        for b in &results.benchmarks {
+            let kinds: Vec<String> = lines
+                .iter()
+                .filter(|l| field(l, "benchmark") == b.name)
+                .map(|l| field(l, "type"))
+                .filter(|k| k.starts_with("benchmark_") || k.starts_with("technique_"))
+                .collect();
+            let at = |kind: &str| -> Vec<usize> {
+                (0..kinds.len()).filter(|&i| kinds[i] == kind).collect()
+            };
+            assert_eq!(at("benchmark_start"), vec![0], "{}: {kinds:?}", b.name);
+            assert_eq!(at("benchmark_finish"), vec![kinds.len() - 1], "{}", b.name);
+            assert_eq!(
+                at("technique_start").len(),
+                b.techniques.len(),
+                "{}",
+                b.name
+            );
+            assert_eq!(
+                at("technique_finish").len(),
+                b.techniques.len(),
+                "{}",
+                b.name
+            );
+        }
+    }
+
+    #[test]
+    fn a_benchmark_deadline_behaves_the_same_with_overlapping_units() {
+        // The deadline counts from the benchmark's first unit start, and
+        // each unit gets the time left when it starts: a zero deadline marks
+        // every row, and an unreached one leaves every row as it would be
+        // without a deadline, at any worker count.
+        for workers in [1, 4] {
+            let cfg = HarnessConfig {
+                workers,
+                ..quick_config()
+            };
+            let plain = run_study(&cfg, Some("CS.reorder_3")).unwrap();
+            let with_deadline = |deadline| {
+                let cfg = HarnessConfig {
+                    benchmark_deadline: Some(deadline),
+                    ..cfg.clone()
+                };
+                run_study(&cfg, Some("CS.reorder_3")).unwrap()
+            };
+            let expired = with_deadline(Duration::ZERO);
+            for b in &expired.benchmarks {
+                assert_eq!(b.techniques.len(), 5);
+                assert!(
+                    b.techniques.iter().all(|t| t.deadline_exceeded),
+                    "{}",
+                    b.name
+                );
+            }
+            let roomy = with_deadline(Duration::from_secs(3600));
+            for (p, r) in plain.benchmarks.iter().zip(&roomy.benchmarks) {
+                assert_eq!(p.techniques, r.techniques, "{} @ {workers}", p.name);
+                assert!(r.techniques.iter().all(|t| !t.deadline_exceeded));
+            }
         }
     }
 

@@ -887,6 +887,31 @@ fn corpus_answers_the_exhausted_at_limit_probe_without_executing() {
 }
 
 #[test]
+fn engine_epoch_pins_the_terminal_digest_stream() {
+    // A saved trie stores terminal digests, and its key (`corpus_key`)
+    // carries the engine epoch rather than the engine's behaviour. This pins
+    // the digest stream of a fixed DFS on three benchmarks, so a change to
+    // the interpreter's semantics cannot keep serving tries recorded before
+    // it without someone deciding that they still hold.
+    const PINNED: u64 = 0x9067_9228_66e4_2292;
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for name in ["CS.account_bad", "CS.reorder_3_bad", "CS.din_phil2_sat"] {
+        let case = Case::new(name, Search::Bounded(BoundKind::None, u32::MAX));
+        for digest in case.side("serial", limits(500)).digests {
+            for byte in format!("{name} {digest:?}\n").bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    assert_eq!(
+        hash, PINNED,
+        "the terminal-digest stream of a fixed DFS changed, so tries saved by the \
+         previous engine no longer describe this one: bump ENGINE_EPOCH in \
+         crates/core/src/corpus.rs, then set PINNED here to {hash:#x}"
+    );
+}
+
+#[test]
 fn corpus_resume_preserves_the_terminal_digest_stream() {
     // Below the statistics: a run resumed from the saved trie must serve the
     // *same schedules in the same order*, so the stream of terminal digests
