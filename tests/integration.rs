@@ -912,6 +912,26 @@ fn engine_epoch_pins_the_terminal_digest_stream() {
 }
 
 #[test]
+fn registry_programs_are_pinned() {
+    // Racy-location sets, trie paths and corpus keys all name instructions by
+    // their index in a template body, so the programs the builder emits are
+    // pinned byte for byte: a builder refactor must leave every one alone.
+    const PINNED: u64 = 0xc586_74c5_7652_3e02;
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for spec in all_benchmarks() {
+        for byte in format!("{:?}", spec.program()).bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    assert_eq!(
+        hash, PINNED,
+        "a builder change moved an instruction of some registry program; every \
+         Loc, racy-location set and trie path moves with it, so bump ENGINE_EPOCH \
+         in crates/core/src/corpus.rs together with this pin: set PINNED to {hash:#x}"
+    );
+}
+
+#[test]
 fn corpus_resume_preserves_the_terminal_digest_stream() {
     // Below the statistics: a run resumed from the saved trie must serve the
     // *same schedules in the same order*, so the stream of terminal digests
