@@ -1,6 +1,6 @@
 //! Per-template control-flow graphs over the flat [`Instr`] stream.
 //!
-//! The compiler lowers structured control flow to `Goto`/`Branch`
+//! The builder emits structured control flow as `Goto`/`Branch`
 //! instructions whose targets are instruction indices, so a CFG is recovered
 //! by splitting the body at branch targets and post-branch positions. The
 //! graph answers the reachability queries the dataflow passes and the

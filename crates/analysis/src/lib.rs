@@ -1,4 +1,4 @@
-//! Static lockset and lock-order analysis over compiled [`sct_ir::Program`]s.
+//! Static lockset and lock-order analysis over built [`sct_ir::Program`]s.
 //!
 //! The dynamic study (PAPER.md §5) spends 10 uncontrolled executions per
 //! benchmark discovering racy locations before systematic exploration can

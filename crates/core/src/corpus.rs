@@ -133,7 +133,9 @@ impl From<io::Error> for CorpusError {
 /// alters any schedule's digest makes every old trie wrong; bumping this
 /// turns such tries into key mismatches instead of silently served rows.
 /// The integration test `engine_epoch_pins_the_terminal_digest_stream`
-/// fails when the digests of a fixed search change, and says to bump it.
+/// fails when the digests of a fixed search change, and says to bump it;
+/// `registry_programs_are_pinned` fails when the builder moves an
+/// instruction of a registry program, which moves every trie path with it.
 const ENGINE_EPOCH: u64 = 1;
 
 /// Fingerprint of the (program, execution configuration) pair a corpus

@@ -643,10 +643,22 @@ pub fn explore_with(
     scheduler: &mut dyn Scheduler,
     limits: &ExploreLimits,
 ) -> ExplorationStats {
+    let label = scheduler.name();
+    explore_labelled(program, config, scheduler, limits, label)
+}
+
+/// [`explore_with`], with the statistics and every event labelled `label`.
+fn explore_labelled(
+    program: &Program,
+    config: &ExecConfig,
+    scheduler: &mut dyn Scheduler,
+    limits: &ExploreLimits,
+    label: String,
+) -> ExplorationStats {
     // One execution for the whole exploration: `reset` rewinds it in place,
     // so the hot loop performs no per-schedule allocation or config clone.
     let mut exec = Execution::new_shared(program, config);
-    let mut fold = Fold::new(scheduler.name(), program, limits, Trie::Off, false);
+    let mut fold = Fold::new(label, program, limits, Trie::Off, false);
     fold.single(&mut SchedulerProducer {
         scheduler,
         exec: &mut exec,
@@ -662,7 +674,8 @@ fn steals(kind: BoundKind, limits: &ExploreLimits) -> bool {
 }
 
 /// One bounded DFS, stolen or serial, with the counted schedules' digests
-/// when `digests` is set. In campaign mode it walks the shared corpus.
+/// when `digests` is set. In campaign mode it walks the shared corpus. It is
+/// labelled `label`, or with the DFS's own name when that is `None`.
 pub(crate) fn bounded_search(
     program: &Program,
     config: &ExecConfig,
@@ -670,10 +683,12 @@ pub(crate) fn bounded_search(
     bound: u32,
     limits: &ExploreLimits,
     digests: bool,
+    label: Option<&str>,
 ) -> (ExplorationStats, Vec<TerminalDigest>) {
     let dfs = BoundedDfs::new(kind.policy(), bound).with_sleep_sets(limits.por);
+    let label = label.map_or_else(|| dfs.name(), str::to_string);
     let trie = Trie::new(limits.shared_cache.as_deref(), None);
-    let mut fold = Fold::new(dfs.name(), program, limits, trie, digests);
+    let mut fold = Fold::new(label, program, limits, trie, digests);
     if steals(kind, limits) {
         let trie = fold.trie.walker();
         crate::steal::with_engine(program, config, kind, bound, limits, trie, |p| {
@@ -699,7 +714,7 @@ pub fn bounded_dfs(
     bound: u32,
     limits: &ExploreLimits,
 ) -> ExplorationStats {
-    let (mut stats, _) = bounded_search(program, config, kind, bound, limits, false);
+    let (mut stats, _) = bounded_search(program, config, kind, bound, limits, false, None);
     stats.final_bound = Some(bound);
     if stats.found_bug() {
         stats.bound_of_first_bug = Some(bound);
@@ -768,7 +783,8 @@ pub fn iterative_bounding(
     fold.finish().0
 }
 
-/// Run one of the study's techniques with its standard configuration.
+/// Run one of the study's techniques with its standard configuration. The
+/// statistics and every event of the run carry [`Technique::label`].
 pub fn run_technique(
     program: &Program,
     config: &ExecConfig,
@@ -776,9 +792,11 @@ pub fn run_technique(
     limits: &ExploreLimits,
 ) -> ExplorationStats {
     let started = Instant::now();
+    let label = technique.label();
     let mut stats = match technique {
         Technique::Dfs => {
-            bounded_search(program, config, BoundKind::None, u32::MAX, limits, false).0
+            let kind = BoundKind::None;
+            bounded_search(program, config, kind, u32::MAX, limits, false, Some(label)).0
         }
         Technique::IterativePreemptionBounding => {
             iterative_bounding(program, config, BoundKind::Preemption, limits)
@@ -788,18 +806,18 @@ pub fn run_technique(
         }
         Technique::Random { seed } => {
             let mut scheduler = RandomScheduler::new(limits.schedule_limit, seed);
-            explore_with(program, config, &mut scheduler, limits)
+            explore_labelled(program, config, &mut scheduler, limits, label.to_string())
         }
         Technique::Pct { depth, seed } => {
             let mut scheduler = PctScheduler::new(limits.schedule_limit, depth, seed);
-            explore_with(program, config, &mut scheduler, limits)
+            explore_labelled(program, config, &mut scheduler, limits, label.to_string())
         }
         Technique::MapleLike {
             profiling_runs,
             seed,
         } => {
             let mut scheduler = MapleLikeScheduler::new(profiling_runs, seed);
-            explore_with(program, config, &mut scheduler, limits)
+            explore_labelled(program, config, &mut scheduler, limits, label.to_string())
         }
     };
     // The outermost stamp wins: it covers dispatch plus the driver, so every

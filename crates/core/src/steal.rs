@@ -541,7 +541,7 @@ pub fn explore_bounded_stealing_digests(
     bound: u32,
     limits: &ExploreLimits,
 ) -> (ExplorationStats, Vec<TerminalDigest>) {
-    explore::bounded_search(program, config, kind, bound, limits, true)
+    explore::bounded_search(program, config, kind, bound, limits, true, None)
 }
 
 #[cfg(test)]

@@ -3,6 +3,7 @@
 //! console) and CSV (for external plotting).
 
 use crate::pipeline::StudyResults;
+use sct_core::ExplorationStats;
 use std::fmt::Write as _;
 
 /// Counts for a three-set Venn diagram over benchmarks.
@@ -112,64 +113,45 @@ pub fn venn_to_string(title: &str, names: [&str; 3], v: &VennCounts) -> String {
 /// "square"), for both techniques. Missing bugs are plotted at the schedule
 /// limit, as in the paper. Returned as CSV.
 pub fn scatter_fig3(results: &StudyResults) -> String {
-    let limit = results.schedule_limit;
-    let mut out = String::from("id,benchmark,ipb_first_bug,idb_first_bug,ipb_total,idb_total\n");
-    for b in &results.benchmarks {
-        let ipb = b.technique("IPB");
-        let idb = b.technique("IDB");
-        let found_any = ipb.map(|s| s.found_bug()).unwrap_or(false)
-            || idb.map(|s| s.found_bug()).unwrap_or(false);
-        if !found_any {
-            continue;
-        }
-        let first = |s: Option<&sct_core::ExplorationStats>| {
-            s.and_then(|s| s.schedules_to_first_bug).unwrap_or(limit)
-        };
-        let total = |s: Option<&sct_core::ExplorationStats>| {
-            s.map(|s| s.schedules.min(limit)).unwrap_or(limit)
-        };
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{}",
-            b.id,
-            b.name,
-            first(ipb),
-            first(idb),
-            total(ipb),
-            total(idb)
-        );
-    }
-    out
+    ipb_idb_scatter(results, "first_bug", |s| s.schedules_to_first_bug)
 }
 
 /// Figure 4 data: the worst-case number of schedules that might have to be
 /// explored to find the bug within the bound (total non-buggy schedules), for
 /// IPB and IDB, plus the same "square" totals as Figure 3. Returned as CSV.
 pub fn scatter_fig4(results: &StudyResults) -> String {
+    ipb_idb_scatter(
+        results,
+        "worst_case",
+        ExplorationStats::worst_case_schedules_to_bug,
+    )
+}
+
+/// One CSV row per benchmark where IPB or IDB found the bug: `metric` of
+/// each technique (the schedule limit when it has none) and each one's
+/// schedules explored, capped at the limit.
+fn ipb_idb_scatter(
+    results: &StudyResults,
+    name: &str,
+    metric: impl Fn(&ExplorationStats) -> Option<u64>,
+) -> String {
     let limit = results.schedule_limit;
-    let mut out = String::from("id,benchmark,ipb_worst_case,idb_worst_case,ipb_total,idb_total\n");
+    let mut out = format!("id,benchmark,ipb_{name},idb_{name},ipb_total,idb_total\n");
     for b in &results.benchmarks {
         let ipb = b.technique("IPB");
         let idb = b.technique("IDB");
-        let found_any = ipb.map(|s| s.found_bug()).unwrap_or(false)
-            || idb.map(|s| s.found_bug()).unwrap_or(false);
-        if !found_any {
+        if !(ipb.is_some_and(|s| s.found_bug()) || idb.is_some_and(|s| s.found_bug())) {
             continue;
         }
-        let worst = |s: Option<&sct_core::ExplorationStats>| {
-            s.and_then(|s| s.worst_case_schedules_to_bug())
-                .unwrap_or(limit)
-        };
-        let total = |s: Option<&sct_core::ExplorationStats>| {
-            s.map(|s| s.schedules.min(limit)).unwrap_or(limit)
-        };
+        let value = |s: Option<&ExplorationStats>| s.and_then(&metric).unwrap_or(limit);
+        let total = |s: Option<&ExplorationStats>| s.map_or(limit, |s| s.schedules.min(limit));
         let _ = writeln!(
             out,
             "{},{},{},{},{},{}",
             b.id,
             b.name,
-            worst(ipb),
-            worst(idb),
+            value(ipb),
+            value(idb),
             total(ipb),
             total(idb)
         );

@@ -277,19 +277,12 @@ pub struct StudyResults {
 
 /// The techniques a study run uses, in Table 3 column order.
 pub fn study_techniques(config: &HarnessConfig) -> Vec<Technique> {
-    let seed = config.seed;
-    let mut ts = vec![
-        Technique::IterativePreemptionBounding,
-        Technique::IterativeDelayBounding,
-        Technique::Dfs,
-        Technique::Random { seed },
-        Technique::MapleLike {
-            profiling_runs: 10,
-            seed,
-        },
-    ];
+    let mut ts = Technique::study_suite(config.seed);
     if config.include_pct {
-        ts.push(Technique::Pct { depth: 3, seed });
+        ts.push(Technique::Pct {
+            depth: 3,
+            seed: config.seed,
+        });
     }
     ts
 }
@@ -455,7 +448,6 @@ fn run_chain(
             row.engine_panic = true;
             row
         });
-        stats.technique = t.label().to_string();
         stats.race_nanos = bench.race_nanos;
         if stats.deadline_exceeded {
             config.telemetry.emit(|| Event::DeadlineExceeded {
@@ -759,6 +751,53 @@ mod tests {
         }
     }
 
+    /// The string value of `key` in a JSONL event line ("" when absent).
+    fn json_field(line: &str, key: &str) -> String {
+        let rest = line.split(&format!("\"{key}\":\"")).nth(1).unwrap_or("");
+        rest.split('"').next().unwrap_or("").to_string()
+    }
+
+    #[test]
+    fn every_event_names_a_technique_its_benchmark_announced() {
+        // The heartbeat keys in-flight units by (benchmark, technique), so
+        // a unit's progress and bug events must carry the label its
+        // `technique_start` announced, for every technique including DFS
+        // and PCT.
+        use sct_core::telemetry::{BufferRecorder, Recorder};
+        use std::collections::BTreeSet;
+        let buffer = Arc::new(BufferRecorder::default());
+        let recorders: Vec<Box<dyn Recorder>> = vec![Box::new(Arc::clone(&buffer))];
+        let cfg = HarnessConfig {
+            include_pct: true,
+            telemetry: Telemetry::with_progress_interval(recorders, Duration::ZERO),
+            ..quick_config()
+        };
+        run_study(&cfg, Some("CS.reorder_3_bad")).unwrap();
+        let lines = buffer.lines();
+        let subject = |l: &str| match json_field(l, "benchmark") {
+            b if b.is_empty() => json_field(l, "program"),
+            b => b,
+        };
+        let announced: BTreeSet<(String, String)> = lines
+            .iter()
+            .filter(|l| json_field(l, "type") == "technique_start")
+            .map(|l| (subject(l), json_field(l, "technique")))
+            .collect();
+        assert_eq!(announced.len(), study_techniques(&cfg).len());
+        let mut labelled = BTreeSet::new();
+        for l in lines
+            .iter()
+            .filter(|l| !json_field(l, "technique").is_empty())
+        {
+            let key = (subject(l), json_field(l, "technique"));
+            assert!(announced.contains(&key), "unannounced {key:?}: {l}");
+            labelled.insert(json_field(l, "type"));
+        }
+        for kind in ["progress", "bug_found", "technique_finish"] {
+            assert!(labelled.contains(kind), "no {kind} event: {labelled:?}");
+        }
+    }
+
     #[test]
     fn each_benchmark_is_bracketed_by_one_start_and_one_finish_event() {
         use sct_core::telemetry::BufferRecorder;
@@ -769,16 +808,12 @@ mod tests {
             ..quick_config()
         };
         let results = run_study(&cfg, Some("CS.reorder")).unwrap();
-        let field = |line: &str, key: &str| -> String {
-            let rest = line.split(&format!("\"{key}\":\"")).nth(1).unwrap_or("");
-            rest.split('"').next().unwrap_or("").to_string()
-        };
         let lines = buffer.lines();
         for b in &results.benchmarks {
             let kinds: Vec<String> = lines
                 .iter()
-                .filter(|l| field(l, "benchmark") == b.name)
-                .map(|l| field(l, "type"))
+                .filter(|l| json_field(l, "benchmark") == b.name)
+                .map(|l| json_field(l, "type"))
                 .filter(|k| k.starts_with("benchmark_") || k.starts_with("technique_"))
                 .collect();
             let at = |kind: &str| -> Vec<usize> {

@@ -1,19 +1,18 @@
 //! Builder DSL for constructing programs.
 //!
 //! [`ProgramBuilder`] declares shared state and thread templates;
-//! [`BodyBuilder`] builds a thread body out of statements. The DSL is the
+//! [`BodyBuilder`] emits a thread body as flat [`Instr`]s. The DSL is the
 //! surface most of `sctbench` is written against, so it favours terseness:
 //! most methods accept `impl Into<Expr>` / `impl Into<VarRef>` so literals,
 //! locals and indexed references can be passed directly.
 
-use crate::compile::compile_body;
 use crate::error::IrError;
 use crate::expr::Expr;
+use crate::instr::{BarrierRef, CondvarRef, Instr, MutexRef, Op, RmwOp, SemRef, VarRef};
 use crate::program::{
     BarrierDecl, BarrierId, CondvarDecl, CondvarId, GlobalDecl, LocalId, MutexDecl, MutexId,
     Program, SemDecl, SemId, Template, TemplateId, VarId,
 };
-use crate::stmt::{BarrierRef, CondvarRef, MutexRef, RmwOp, SemRef, Stmt, VarRef};
 
 impl VarId {
     /// Reference cell `index` of this (array) global.
@@ -60,7 +59,7 @@ pub struct ProgramBuilder {
     condvars: Vec<CondvarDecl>,
     sems: Vec<SemDecl>,
     barriers: Vec<BarrierDecl>,
-    templates: Vec<(String, u32, Vec<Stmt>)>,
+    templates: Vec<Template>,
     main: Option<TemplateId>,
 }
 
@@ -164,10 +163,14 @@ impl ProgramBuilder {
         f: impl FnOnce(&mut BodyBuilder),
     ) -> TemplateId {
         let id = TemplateId(self.templates.len() as u32);
-        let mut body = BodyBuilder::new();
-        f(&mut body);
-        self.templates
-            .push((name.into(), body.next_local, body.stmts));
+        let mut b = BodyBuilder::default();
+        f(&mut b);
+        b.body.push(Instr::Halt);
+        self.templates.push(Template {
+            name: name.into(),
+            locals: b.next_local,
+            body: b.body,
+        });
         id
     }
 
@@ -179,18 +182,9 @@ impl ProgramBuilder {
         id
     }
 
-    /// Compile all templates and produce the validated [`Program`].
+    /// Produce the validated [`Program`].
     pub fn build(self) -> Result<Program, IrError> {
         let main = self.main.ok_or(IrError::MissingMain)?;
-        let templates = self
-            .templates
-            .into_iter()
-            .map(|(name, locals, stmts)| Template {
-                name,
-                locals,
-                body: compile_body(&stmts),
-            })
-            .collect();
         let program = Program {
             name: self.name,
             globals: self.globals,
@@ -198,7 +192,7 @@ impl ProgramBuilder {
             condvars: self.condvars,
             sems: self.sems,
             barriers: self.barriers,
-            templates,
+            templates: self.templates,
             main,
         };
         program.validate()?;
@@ -206,22 +200,31 @@ impl ProgramBuilder {
     }
 }
 
-/// Builds the body of a single thread template.
+/// Builds the body of a single thread template: every method appends the
+/// flat instructions the runtime interprets.
 #[derive(Debug, Default)]
 pub struct BodyBuilder {
-    stmts: Vec<Stmt>,
+    body: Vec<Instr>,
     next_local: u32,
 }
 
 impl BodyBuilder {
-    fn new() -> Self {
-        BodyBuilder::default()
+    fn op(&mut self, op: Op) {
+        self.body.push(Instr::Op { op });
     }
 
-    fn nested(&self) -> Self {
-        BodyBuilder {
-            stmts: Vec::new(),
-            next_local: self.next_local,
+    /// Append `instr` and return its index, for a later [`Self::jump_here`].
+    fn emit(&mut self, instr: Instr) -> usize {
+        self.body.push(instr);
+        self.body.len() - 1
+    }
+
+    /// Point the forward jump at `at` to the next instruction to be emitted.
+    fn jump_here(&mut self, at: usize) {
+        let here = self.body.len();
+        match &mut self.body[at] {
+            Instr::Goto { target } | Instr::Branch { target, .. } => *target = here,
+            _ => unreachable!("jump target patched on a non-jump instruction"),
         }
     }
 
@@ -244,7 +247,7 @@ impl BodyBuilder {
 
     /// Non-atomic load of a shared cell into a local.
     pub fn load(&mut self, var: impl Into<VarRef>, dst: LocalId) {
-        self.stmts.push(Stmt::Load {
+        self.op(Op::Load {
             var: var.into(),
             dst,
             atomic: false,
@@ -253,7 +256,7 @@ impl BodyBuilder {
 
     /// Non-atomic store of an expression to a shared cell.
     pub fn store(&mut self, var: impl Into<VarRef>, value: impl Into<Expr>) {
-        self.stmts.push(Stmt::Store {
+        self.op(Op::Store {
             var: var.into(),
             value: value.into(),
             atomic: false,
@@ -262,7 +265,7 @@ impl BodyBuilder {
 
     /// Atomic (synchronising) load.
     pub fn atomic_load(&mut self, var: impl Into<VarRef>, dst: LocalId) {
-        self.stmts.push(Stmt::Load {
+        self.op(Op::Load {
             var: var.into(),
             dst,
             atomic: true,
@@ -271,7 +274,7 @@ impl BodyBuilder {
 
     /// Atomic (synchronising) store.
     pub fn atomic_store(&mut self, var: impl Into<VarRef>, value: impl Into<Expr>) {
-        self.stmts.push(Stmt::Store {
+        self.op(Op::Store {
             var: var.into(),
             value: value.into(),
             atomic: true,
@@ -280,12 +283,7 @@ impl BodyBuilder {
 
     /// Atomic fetch-and-add, discarding the old value.
     pub fn fetch_add(&mut self, var: impl Into<VarRef>, operand: impl Into<Expr>) {
-        self.stmts.push(Stmt::Rmw {
-            var: var.into(),
-            op: RmwOp::Add,
-            operand: operand.into(),
-            dst_old: None,
-        });
+        self.rmw(var, RmwOp::Add, operand, None);
     }
 
     /// Atomic fetch-and-add, storing the old value into `dst_old`.
@@ -295,12 +293,7 @@ impl BodyBuilder {
         operand: impl Into<Expr>,
         dst_old: LocalId,
     ) {
-        self.stmts.push(Stmt::Rmw {
-            var: var.into(),
-            op: RmwOp::Add,
-            operand: operand.into(),
-            dst_old: Some(dst_old),
-        });
+        self.rmw(var, RmwOp::Add, operand, Some(dst_old));
     }
 
     /// Atomic read-modify-write with an arbitrary operator.
@@ -311,7 +304,7 @@ impl BodyBuilder {
         operand: impl Into<Expr>,
         dst_old: Option<LocalId>,
     ) {
-        self.stmts.push(Stmt::Rmw {
+        self.op(Op::Rmw {
             var: var.into(),
             op,
             operand: operand.into(),
@@ -332,13 +325,7 @@ impl BodyBuilder {
         new: impl Into<Expr>,
         success: LocalId,
     ) {
-        self.stmts.push(Stmt::Cas {
-            var: var.into(),
-            expected: expected.into(),
-            new: new.into(),
-            dst_success: Some(success),
-            dst_old: None,
-        });
+        self.cas_full(var, expected, new, Some(success), None);
     }
 
     /// Atomic compare-and-swap capturing both the success flag and the old value.
@@ -350,7 +337,7 @@ impl BodyBuilder {
         success: Option<LocalId>,
         old: Option<LocalId>,
     ) {
-        self.stmts.push(Stmt::Cas {
+        self.op(Op::Cas {
             var: var.into(),
             expected: expected.into(),
             new: new.into(),
@@ -363,28 +350,30 @@ impl BodyBuilder {
 
     /// Acquire a mutex.
     pub fn lock(&mut self, mutex: impl Into<MutexRef>) {
-        self.stmts.push(Stmt::Lock {
+        self.op(Op::Lock {
             mutex: mutex.into(),
         });
     }
 
-    /// Release a mutex.
+    /// Release a mutex. Releasing a mutex the thread does not hold is a bug
+    /// reported by the runtime (this is how several RADBench models crash).
     pub fn unlock(&mut self, mutex: impl Into<MutexRef>) {
-        self.stmts.push(Stmt::Unlock {
+        self.op(Op::Unlock {
             mutex: mutex.into(),
         });
     }
 
     /// Destroy a mutex; later operations on it are bugs.
     pub fn mutex_destroy(&mut self, mutex: impl Into<MutexRef>) {
-        self.stmts.push(Stmt::MutexDestroy {
+        self.op(Op::MutexDestroy {
             mutex: mutex.into(),
         });
     }
 
-    /// Condition wait (`pthread_cond_wait` semantics).
+    /// Condition wait (`pthread_cond_wait` semantics): atomically release
+    /// `mutex` and block on `condvar`, re-acquiring `mutex` before returning.
     pub fn wait(&mut self, condvar: impl Into<CondvarRef>, mutex: impl Into<MutexRef>) {
-        self.stmts.push(Stmt::Wait {
+        self.op(Op::Wait {
             condvar: condvar.into(),
             mutex: mutex.into(),
         });
@@ -392,38 +381,38 @@ impl BodyBuilder {
 
     /// Wake one waiter on a condition variable.
     pub fn signal(&mut self, condvar: impl Into<CondvarRef>) {
-        self.stmts.push(Stmt::Signal {
+        self.op(Op::Signal {
             condvar: condvar.into(),
         });
     }
 
     /// Wake all waiters on a condition variable.
     pub fn broadcast(&mut self, condvar: impl Into<CondvarRef>) {
-        self.stmts.push(Stmt::Broadcast {
+        self.op(Op::Broadcast {
             condvar: condvar.into(),
         });
     }
 
     /// Semaphore down (blocks while the count is zero).
     pub fn sem_wait(&mut self, sem: impl Into<SemRef>) {
-        self.stmts.push(Stmt::SemWait { sem: sem.into() });
+        self.op(Op::SemWait { sem: sem.into() });
     }
 
     /// Semaphore up.
     pub fn sem_post(&mut self, sem: impl Into<SemRef>) {
-        self.stmts.push(Stmt::SemPost { sem: sem.into() });
+        self.op(Op::SemPost { sem: sem.into() });
     }
 
-    /// Wait at a barrier.
+    /// Wait at a barrier until its `participants` threads have arrived.
     pub fn barrier_wait(&mut self, barrier: impl Into<BarrierRef>) {
-        self.stmts.push(Stmt::BarrierWait {
+        self.op(Op::BarrierWait {
             barrier: barrier.into(),
         });
     }
 
     /// Spawn a thread from a template, discarding its id.
     pub fn spawn(&mut self, template: TemplateId) {
-        self.stmts.push(Stmt::Spawn {
+        self.op(Op::Spawn {
             template,
             dst: None,
         });
@@ -431,7 +420,7 @@ impl BodyBuilder {
 
     /// Spawn a thread from a template, storing the new thread id in `dst`.
     pub fn spawn_into(&mut self, template: TemplateId, dst: LocalId) {
-        self.stmts.push(Stmt::Spawn {
+        self.op(Op::Spawn {
             template,
             dst: Some(dst),
         });
@@ -439,21 +428,21 @@ impl BodyBuilder {
 
     /// Join the thread whose id is the value of `thread`.
     pub fn join(&mut self, thread: impl Into<Expr>) {
-        self.stmts.push(Stmt::Join {
+        self.op(Op::Join {
             thread: thread.into(),
         });
     }
 
-    /// Visible no-op scheduling point.
+    /// Visible no-op scheduling point (models `sched_yield`).
     pub fn yield_(&mut self) {
-        self.stmts.push(Stmt::Yield);
+        self.op(Op::Yield);
     }
 
     // ----- local computation, assertions -----
 
     /// Assign an expression to a local slot.
     pub fn assign(&mut self, dst: LocalId, value: impl Into<Expr>) {
-        self.stmts.push(Stmt::Assign {
+        self.op(Op::Assign {
             dst,
             value: value.into(),
         });
@@ -461,60 +450,66 @@ impl BodyBuilder {
 
     /// Assert a condition over locals.
     pub fn assert_cond(&mut self, cond: impl Into<Expr>, msg: impl Into<String>) {
-        self.stmts.push(Stmt::Assert {
+        self.op(Op::Assert {
             cond: cond.into(),
             msg: msg.into(),
         });
     }
 
-    /// Unconditional failure; reaching this statement is a bug.
+    /// Unconditional failure; reaching this point is a bug (models crashes
+    /// such as out-of-bounds accesses or double frees).
     pub fn fail(&mut self, msg: impl Into<String>) {
-        self.stmts.push(Stmt::Fail { msg: msg.into() });
+        self.op(Op::Fail { msg: msg.into() });
     }
 
     // ----- control flow -----
+    //
+    // A conditional is a `Branch` that jumps past its block when the
+    // condition is zero; its target is patched once the block is emitted.
 
     /// `if cond { ... }`
     pub fn if_(&mut self, cond: impl Into<Expr>, then_f: impl FnOnce(&mut BodyBuilder)) {
-        let mut inner = self.nested();
-        then_f(&mut inner);
-        self.next_local = inner.next_local;
-        self.stmts.push(Stmt::If {
+        let branch = self.emit(Instr::Branch {
             cond: cond.into(),
-            then_branch: inner.stmts,
-            else_branch: Vec::new(),
+            target: usize::MAX,
         });
+        then_f(self);
+        self.jump_here(branch);
     }
 
-    /// `if cond { ... } else { ... }`
+    /// `if cond { ... } else { ... }`: the then-block ends in a `Goto` over
+    /// the else-block. An empty else-block emits no `Goto`, as in [`Self::if_`].
     pub fn if_else(
         &mut self,
         cond: impl Into<Expr>,
         then_f: impl FnOnce(&mut BodyBuilder),
         else_f: impl FnOnce(&mut BodyBuilder),
     ) {
-        let mut then_b = self.nested();
-        then_f(&mut then_b);
-        self.next_local = then_b.next_local;
-        let mut else_b = self.nested();
-        else_f(&mut else_b);
-        self.next_local = else_b.next_local;
-        self.stmts.push(Stmt::If {
+        let branch = self.emit(Instr::Branch {
             cond: cond.into(),
-            then_branch: then_b.stmts,
-            else_branch: else_b.stmts,
+            target: usize::MAX,
         });
+        then_f(self);
+        let goto = self.emit(Instr::Goto { target: usize::MAX });
+        self.jump_here(branch);
+        else_f(self);
+        if self.body.len() == goto + 1 {
+            self.body.pop();
+            self.jump_here(branch);
+        } else {
+            self.jump_here(goto);
+        }
     }
 
-    /// `while cond { ... }`
+    /// `while cond { ... }`: the body ends in a `Goto` back to the `Branch`.
     pub fn while_(&mut self, cond: impl Into<Expr>, body_f: impl FnOnce(&mut BodyBuilder)) {
-        let mut inner = self.nested();
-        body_f(&mut inner);
-        self.next_local = inner.next_local;
-        self.stmts.push(Stmt::While {
+        let head = self.emit(Instr::Branch {
             cond: cond.into(),
-            body: inner.stmts,
+            target: usize::MAX,
         });
+        body_f(self);
+        self.emit(Instr::Goto { target: head });
+        self.jump_here(head);
     }
 
     /// Counted loop: declares a fresh counter local iterating `from..to`
@@ -528,25 +523,10 @@ impl BodyBuilder {
     ) {
         let counter = self.local(name);
         self.assign(counter, from);
-        let to = to.into();
-        let mut inner = self.nested();
-        body_f(&mut inner, counter);
-        inner.assign(counter, crate::expr::add(counter, 1));
-        self.next_local = inner.next_local;
-        self.stmts.push(Stmt::While {
-            cond: crate::expr::lt(counter, to),
-            body: inner.stmts,
+        self.while_(crate::expr::lt(counter, to), |b| {
+            body_f(b, counter);
+            b.assign(counter, crate::expr::add(counter, 1));
         });
-    }
-
-    /// Push an arbitrary statement (escape hatch for tests and generators).
-    pub fn raw(&mut self, stmt: Stmt) {
-        self.stmts.push(stmt);
-    }
-
-    /// Statements built so far (used by tests).
-    pub fn stmts(&self) -> &[Stmt] {
-        &self.stmts
     }
 }
 
@@ -554,7 +534,114 @@ impl BodyBuilder {
 mod tests {
     use super::*;
     use crate::expr::{eq, lt};
-    use crate::instr::{Instr, Op};
+
+    /// The body of a program whose only template is `main`.
+    fn main_body(f: impl FnOnce(&mut BodyBuilder)) -> Vec<Instr> {
+        let mut p = ProgramBuilder::new("body");
+        p.main(f);
+        p.build().unwrap().templates.remove(0).body
+    }
+
+    #[test]
+    fn straight_line_code_appends_halt() {
+        let body = main_body(|b| {
+            let v = b.local("v");
+            b.assign(v, 1);
+            b.yield_();
+        });
+        assert_eq!(body.len(), 3);
+        assert!(matches!(body[2], Instr::Halt));
+    }
+
+    #[test]
+    fn if_without_else_branches_past_then() {
+        let body = main_body(|b| {
+            let c = b.local("c");
+            let v = b.local("v");
+            b.if_(c, |b| b.assign(v, 5));
+        });
+        // branch, assign, halt
+        assert_eq!(body.len(), 3);
+        match &body[0] {
+            Instr::Branch { target, .. } => assert_eq!(*target, 2),
+            other => panic!("expected branch, got {other:?}"),
+        }
+        // An empty else-block emits the same body: no `Goto` over nothing.
+        let empty_else = main_body(|b| {
+            let c = b.local("c");
+            let v = b.local("v");
+            b.if_else(c, |b| b.assign(v, 5), |_| {});
+        });
+        assert_eq!(empty_else, body);
+    }
+
+    #[test]
+    fn if_with_else_skips_over_else_on_then_path() {
+        let body = main_body(|b| {
+            let c = b.local("c");
+            let v = b.local("v");
+            b.if_else(c, |b| b.assign(v, 1), |b| b.assign(v, 2));
+        });
+        // 0: branch(!cond -> 3), 1: assign then, 2: goto 4, 3: assign else, 4: halt
+        assert_eq!(body.len(), 5);
+        match &body[0] {
+            Instr::Branch { target, .. } => assert_eq!(*target, 3),
+            other => panic!("expected branch, got {other:?}"),
+        }
+        match &body[2] {
+            Instr::Goto { target } => assert_eq!(*target, 4),
+            other => panic!("expected goto, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn while_loops_back_to_condition() {
+        let body = main_body(|b| {
+            let i = b.local("i");
+            b.while_(lt(i, 3), |b| b.assign(i, 1));
+        });
+        // 0: branch(!cond -> 3), 1: assign, 2: goto 0, 3: halt
+        assert_eq!(body.len(), 4);
+        match &body[0] {
+            Instr::Branch { target, .. } => assert_eq!(*target, 3),
+            other => panic!("expected branch, got {other:?}"),
+        }
+        match &body[2] {
+            Instr::Goto { target } => assert_eq!(*target, 0),
+            other => panic!("expected goto, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn nested_control_flow_emits_consistently() {
+        let mut p = ProgramBuilder::new("nested");
+        let x = p.global("x", 0);
+        p.main(|b| {
+            let i = b.local("i");
+            let c = b.local("c");
+            let v = b.local("v");
+            b.while_(lt(i, 2), |b| {
+                b.if_else(c, |b| b.assign(v, 1), |b| b.assign(v, 2));
+                b.assign(i, 1);
+            });
+            b.store(x, 7);
+        });
+        let body = p.build().unwrap().templates.remove(0).body;
+        // Every Goto/Branch target must be within bounds.
+        for i in &body {
+            match i {
+                Instr::Goto { target } | Instr::Branch { target, .. } => {
+                    assert!(*target < body.len());
+                }
+                _ => {}
+            }
+        }
+        // Emitting memory ops preserves operands.
+        match body[body.len() - 2].op().unwrap() {
+            Op::Store { value, .. } => assert_eq!(value, &Expr::Const(7)),
+            other => panic!("expected store, got {other:?}"),
+        }
+    }
 
     #[test]
     fn build_requires_main() {

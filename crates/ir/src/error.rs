@@ -1,4 +1,4 @@
-//! Errors reported by program validation and compilation.
+//! Errors reported by program validation.
 
 use crate::program::{LocalId, TemplateId, VarId};
 use std::fmt;

@@ -1,7 +1,7 @@
 //! Side-effect-free expressions over per-thread locals.
 //!
 //! Expressions deliberately cannot read shared memory: a shared read must be
-//! an explicit `Load` statement so that the runtime can treat it as a
+//! an explicit `Load` operation so that the runtime can treat it as a
 //! (potentially) visible operation and the race detector can observe it.
 
 use crate::program::LocalId;

@@ -1,11 +1,99 @@
-//! Flat instruction form: the compiled representation interpreted by the
-//! runtime. Structured control flow is lowered to conditional branches so
-//! that a thread's continuation is a single program counter.
+//! Flat instruction form: the one program representation, emitted directly
+//! by the builder DSL and interpreted by the runtime. Structured control flow
+//! is emitted as conditional branches so that a thread's continuation is a
+//! single program counter.
 
 use crate::expr::Expr;
-use crate::program::{LocalId, TemplateId};
-use crate::stmt::{BarrierRef, CondvarRef, MutexRef, RmwOp, SemRef, VarRef};
+use crate::program::{BarrierId, CondvarId, LocalId, MutexId, SemId, TemplateId, VarId};
 use std::fmt;
+
+/// Reference to a shared variable cell: a declaration plus an optional index
+/// expression for array declarations.
+#[derive(Debug, Clone, PartialEq)]
+pub struct VarRef {
+    /// The global declaration.
+    pub var: VarId,
+    /// Index into the declaration when it is an array; `None` addresses cell 0.
+    pub index: Option<Expr>,
+}
+
+impl VarRef {
+    /// Reference cell `index` of an array declaration.
+    pub fn indexed(var: VarId, index: impl Into<Expr>) -> Self {
+        VarRef {
+            var,
+            index: Some(index.into()),
+        }
+    }
+}
+
+impl From<VarId> for VarRef {
+    fn from(var: VarId) -> Self {
+        VarRef { var, index: None }
+    }
+}
+
+macro_rules! obj_ref {
+    ($(#[$meta:meta])* $name:ident, $id:ident) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct $name {
+            /// The declaration being referenced.
+            pub base: $id,
+            /// Index when the declaration is an array; `None` addresses instance 0.
+            pub index: Option<Expr>,
+        }
+
+        impl $name {
+            /// Reference instance `index` of an array declaration.
+            pub fn indexed(base: $id, index: impl Into<Expr>) -> Self {
+                Self { base, index: Some(index.into()) }
+            }
+        }
+
+        impl From<$id> for $name {
+            fn from(base: $id) -> Self {
+                Self { base, index: None }
+            }
+        }
+    };
+}
+
+obj_ref!(
+    /// Reference to a mutex instance.
+    MutexRef,
+    MutexId
+);
+obj_ref!(
+    /// Reference to a condition-variable instance.
+    CondvarRef,
+    CondvarId
+);
+obj_ref!(
+    /// Reference to a semaphore instance.
+    SemRef,
+    SemId
+);
+obj_ref!(
+    /// Reference to a barrier instance.
+    BarrierRef,
+    BarrierId
+);
+
+/// Atomic read-modify-write operators.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum RmwOp {
+    /// `fetch_add`
+    Add,
+    /// `fetch_sub`
+    Sub,
+    /// `swap`
+    Exchange,
+    /// `fetch_max`
+    Max,
+    /// `fetch_min`
+    Min,
+}
 
 /// A static program location: a (template, instruction index) pair.
 ///
@@ -196,7 +284,24 @@ impl Instr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{MutexId, VarId};
+
+    #[test]
+    fn var_ref_conversion() {
+        let r: VarRef = VarId(3).into();
+        assert_eq!(r.var, VarId(3));
+        assert!(r.index.is_none());
+        let r = VarRef::indexed(VarId(1), 4);
+        assert_eq!(r.index, Some(Expr::Const(4)));
+    }
+
+    #[test]
+    fn obj_ref_conversion() {
+        let m: MutexRef = MutexId(0).into();
+        assert!(m.index.is_none());
+        let m = MutexRef::indexed(MutexId(2), LocalId(0));
+        assert_eq!(m.base, MutexId(2));
+        assert!(m.index.is_some());
+    }
 
     #[test]
     fn sync_classification() {

@@ -1,9 +1,10 @@
 //! # sct-ir
 //!
 //! A small intermediate representation (IR) for multi-threaded test programs,
-//! together with a builder DSL and a compiler that lowers structured
-//! statements to a flat instruction form suitable for fast, deterministic
-//! interpretation by `sct-runtime`.
+//! together with a builder DSL that emits the flat instruction form
+//! interpreted by `sct-runtime`: structured `if`/`while` blocks become
+//! conditional branches and jumps as they are written, so instruction
+//! indices are stable from the moment a program is built.
 //!
 //! The IR plays the role of the *programs under test* in the PPoPP'14 study
 //! "Concurrency Testing Using Schedule Bounding: an Empirical Study"
@@ -11,7 +12,7 @@
 //! binaries; here, benchmarks are expressed as data — a set of shared global
 //! variables, synchronisation objects (mutexes, condition variables,
 //! semaphores, barriers) and *thread templates* whose bodies are sequences of
-//! statements. Every statement that touches shared state is a *visible
+//! instructions. Every operation that touches shared state is a *visible
 //! operation* candidate, exactly matching the paper's execution model (§2):
 //! a step is a visible operation followed by invisible (thread-local) work up
 //! to the next visible operation.
@@ -52,23 +53,20 @@
 //! ```
 
 pub mod builder;
-pub mod compile;
 pub mod error;
 pub mod expr;
 pub mod instr;
 pub mod pretty;
 pub mod program;
-pub mod stmt;
 
 pub use builder::{BodyBuilder, ProgramBuilder};
 pub use error::IrError;
 pub use expr::{BinOp, Expr, UnOp};
-pub use instr::{Instr, Loc, Op};
+pub use instr::{BarrierRef, CondvarRef, Instr, Loc, MutexRef, Op, RmwOp, SemRef, VarRef};
 pub use program::{
     BarrierDecl, BarrierId, CondvarDecl, CondvarId, GlobalDecl, LocalId, MutexDecl, MutexId,
     Program, SemDecl, SemId, Template, TemplateId, VarId,
 };
-pub use stmt::{BarrierRef, CondvarRef, MutexRef, RmwOp, SemRef, Stmt, VarRef};
 
 /// Convenient glob import for writing programs with the builder DSL.
 pub mod prelude {
@@ -76,8 +74,8 @@ pub mod prelude {
     pub use crate::expr::{
         add, and, div, eq, ge, gt, le, lt, max, min, mul, ne, neg, not, or, rem, sub, Expr,
     };
+    pub use crate::instr::{RmwOp, VarRef};
     pub use crate::program::{
         BarrierId, CondvarId, LocalId, MutexId, Program, SemId, TemplateId, VarId,
     };
-    pub use crate::stmt::{RmwOp, VarRef};
 }

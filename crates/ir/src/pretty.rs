@@ -2,9 +2,8 @@
 //! debugging output in the harness.
 
 use crate::expr::Expr;
-use crate::instr::{Instr, Op};
+use crate::instr::{Instr, Op, VarRef};
 use crate::program::Program;
-use crate::stmt::VarRef;
 use std::fmt::Write as _;
 
 /// Render a whole program as indented text, one instruction per line.

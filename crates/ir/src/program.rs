@@ -116,7 +116,7 @@ pub struct BarrierDecl {
     pub participants: u32,
 }
 
-/// A compiled thread template: a flat instruction sequence plus the number of
+/// A thread template: a flat instruction sequence plus the number of
 /// local slots its body uses.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Template {
@@ -124,7 +124,8 @@ pub struct Template {
     pub name: String,
     /// Number of per-thread local slots (locals are initialised to zero).
     pub locals: u32,
-    /// Flat instruction sequence produced by [`crate::compile::compile_body`].
+    /// Flat instruction sequence emitted by [`crate::BodyBuilder`], ending in
+    /// [`Instr::Halt`].
     pub body: Vec<Instr>,
 }
 
