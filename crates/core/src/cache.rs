@@ -10,22 +10,29 @@
 //! at the end of a given decision sequence.
 //!
 //! [`ScheduleCache`] exploits this by memoizing the program as a trie keyed
-//! by the decision sequence:
+//! by the decision sequence, stored flat in append-only pools rather than as
+//! one heap block per node:
 //!
-//! * an **interior node** stores the [`SchedulingPoint`] data the scheduler
-//!   consumes at that prefix (compressed to a single [`PendingOp`] when only
-//!   one thread is enabled, the overwhelmingly common case);
-//! * a **terminal node** stores a [`TerminalDigest`]: the bug
-//!   classification, final-state fingerprint, preemption/delay costs and the
-//!   summary statistics [`crate::stats::ExplorationStats`] needs to record
-//!   the schedule.
+//! * a **forced node** (one enabled thread, the overwhelmingly common case)
+//!   holds that thread's [`PendingOp`] and its single outgoing link inline;
+//! * a **choice node** holds the scalars of its [`SchedulingPoint`], the
+//!   range of the shared operation pool that holds its enabled threads'
+//!   [`PendingOp`]s (the enabled threads are their threads), and the head of
+//!   its list of explored decisions in the shared edge pool;
+//! * a **terminal** stores a [`TerminalDigest`]: the bug classification,
+//!   final-state fingerprint, preemption/delay costs and the summary
+//!   statistics [`crate::stats::ExplorationStats`] needs to record the
+//!   schedule.
 //!
 //! [`run_begun_schedule`] then drives one schedule of a [`BoundedDfs`]: it
 //! feeds the scheduler cached points for as long as the decision path stays
-//! inside the trie. Reaching a cached terminal serves the whole schedule
-//! **without executing the program**; leaving the trie falls back to a real
-//! execution (the scheduler's replay machinery re-runs the prefix against the
-//! live program) whose new suffix is then inserted into the trie.
+//! inside the trie. Inside the replayed prefix the scheduler reads only a
+//! node's operations (`BoundedDfs::replay_step`), so only frontier nodes
+//! are copied into a scratch point. Reaching a cached terminal serves the
+//! whole schedule **without executing the program**; leaving the trie falls
+//! back to a real execution (the scheduler's replay machinery re-runs the
+//! prefix against the live program) whose new suffix is recorded straight
+//! into the flat layout and then inserted into the trie.
 //!
 //! Inside [`crate::explore`] producers only walk, under the read lock, and
 //! hand the fold each schedule's decision path and recorded missing suffix;
@@ -57,9 +64,12 @@ use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 /// Default memory cap for a schedule cache (per technique per benchmark).
 pub const DEFAULT_CACHE_BYTES: u64 = 128 * 1024 * 1024;
 
-/// Estimated bytes of one interior trie node with `enabled` runnable threads.
-/// A single-thread node stores only a [`PendingOp`]; a choice node stores the
-/// full scheduling point (enabled list + pending summaries + edge list).
+/// Charged bytes of one interior trie node with `enabled` runnable threads:
+/// an accounting model of the trie's size, not a measurement of it. The
+/// constants date from a layout that kept a cloned scheduling point and an
+/// edge vector per choice node; the flat pools hold less, but the model is
+/// kept unchanged so that every byte cap, `cache_bytes` figure and
+/// fullness decision stays exactly what it was.
 pub fn node_weight(enabled: usize) -> u64 {
     const FORCED_NODE_BYTES: u64 = 56;
     const CHOICE_NODE_BYTES: u64 = 112;
@@ -137,7 +147,7 @@ impl TerminalDigest {
 }
 
 /// Outgoing edge of a trie node.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Link {
     /// The decision leads to another scheduling point.
     Interior(u32),
@@ -145,34 +155,36 @@ pub(crate) enum Link {
     Terminal(u32),
 }
 
-/// One memoized scheduling point.
-#[derive(Debug, Clone)]
+/// One memoized scheduling point, stored by value: a choice node's pending
+/// operations and edges live in its trie's `ops` and `edges` pools.
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum Node {
     /// Exactly one thread was enabled: the scheduler has no choice, so only
     /// the pending-operation summary (needed by sleep-set inheritance) and
     /// the single outgoing edge are kept.
     Forced { op: PendingOp, next: Option<Link> },
-    /// A genuine choice: the full scheduling point plus one edge per decision
-    /// explored so far.
+    /// A genuine choice: the scheduling point's scalars, its enabled
+    /// threads' pending operations as the pool range `ops..ops + width` (in
+    /// thread order; the enabled threads are their threads), and the head of
+    /// its list of explored decisions in the edge pool.
     Choice {
-        point: SchedulingPoint,
-        edges: Vec<(ThreadId, Link)>,
+        last: Option<ThreadId>,
+        last_enabled: bool,
+        num_threads: usize,
+        step_index: usize,
+        ops: u32,
+        width: u32,
+        edges: Option<u32>,
     },
 }
 
 impl Node {
-    /// A fresh node for `point`, with no edges yet.
-    fn of_point(point: &SchedulingPoint) -> Node {
-        if point.enabled.len() == 1 {
-            Node::Forced {
-                op: point.pending[0],
-                next: None,
-            }
-        } else {
-            Node::Choice {
-                point: point.clone(),
-                edges: Vec::new(),
-            }
+    /// The pending operations of the node's enabled threads, `pool` being
+    /// the `ops` pool its choice range indexes.
+    pub(crate) fn ops<'a>(&'a self, pool: &'a [PendingOp]) -> &'a [PendingOp] {
+        match self {
+            Node::Forced { op, .. } => std::slice::from_ref(op),
+            Node::Choice { ops, width, .. } => &pool[*ops as usize..][..*width as usize],
         }
     }
 
@@ -180,31 +192,46 @@ impl Node {
     pub(crate) fn weight(&self) -> u64 {
         match self {
             Node::Forced { .. } => node_weight(1),
-            Node::Choice { point, .. } => node_weight(point.enabled.len()),
+            Node::Choice { width, .. } => node_weight(*width as usize),
         }
     }
 
-    /// Every outgoing edge as (decision, link), in edge order.
-    pub(crate) fn links(&self) -> impl Iterator<Item = (ThreadId, Link)> + '_ {
-        let (forced, edges) = match self {
-            Node::Forced { op, next } => (next.map(|link| (op.thread, link)), &[][..]),
-            Node::Choice { edges, .. } => (None, &edges[..]),
+    /// Present the node, whose operations are `ops`, as the scheduling point
+    /// at `depth`, reusing `point`'s buffers. A forced node's synthesized
+    /// fields make every scheduler-visible quantity match the real point:
+    /// `round_robin_choice` returns the single enabled thread and both bound
+    /// policies price it at zero, exactly as they do on the real forced
+    /// point.
+    fn present(&self, ops: &[PendingOp], depth: usize, point: &mut SchedulingPoint) {
+        (
+            point.last,
+            point.last_enabled,
+            point.num_threads,
+            point.step_index,
+        ) = match *self {
+            Node::Forced { op, .. } => (Some(op.thread), true, op.thread.index() + 1, depth),
+            Node::Choice {
+                last,
+                last_enabled,
+                num_threads,
+                step_index,
+                ..
+            } => (last, last_enabled, num_threads, step_index),
         };
-        forced.into_iter().chain(edges.iter().copied())
+        point.enabled.clear();
+        point.enabled.extend(ops.iter().map(|op| op.thread));
+        point.pending.clear();
+        point.pending.extend_from_slice(ops);
     }
+}
 
-    fn edge(&self, t: ThreadId) -> Option<Link> {
-        match self {
-            Node::Forced { op, next } => {
-                if t == op.thread {
-                    *next
-                } else {
-                    None
-                }
-            }
-            Node::Choice { edges, .. } => edges.iter().find(|(d, _)| *d == t).map(|(_, l)| *l),
-        }
-    }
+/// One explored decision of a choice node: an entry of its trie's edge
+/// pool, linked to the node's next edge in insertion order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Edge {
+    pub(crate) thread: ThreadId,
+    pub(crate) link: Link,
+    pub(crate) next: Option<u32>,
 }
 
 /// Result of walking the trie for one schedule.
@@ -215,17 +242,50 @@ enum Walk {
     Miss(usize),
 }
 
-/// The fresh nodes of a missed walk's execution, from the miss depth on.
+/// The fresh nodes of a missed walk's execution, from the miss depth on, in
+/// the trie's flat layout: the choice nodes' ranges index `ops`.
 pub(crate) struct Suffix {
     depth: usize,
     nodes: Vec<Node>,
+    ops: Vec<PendingOp>,
+}
+
+impl Suffix {
+    fn new(depth: usize) -> Self {
+        Suffix {
+            depth,
+            nodes: Vec::new(),
+            ops: Vec::new(),
+        }
+    }
+
+    /// Record the scheduling point at the next depth as a fresh node.
+    fn record(&mut self, point: &SchedulingPoint) {
+        let node = match point.pending[..] {
+            [op] => Node::Forced { op, next: None },
+            _ => {
+                let ops = self.ops.len() as u32;
+                self.ops.extend_from_slice(&point.pending);
+                Node::Choice {
+                    last: point.last,
+                    last_enabled: point.last_enabled,
+                    num_threads: point.num_threads,
+                    step_index: point.step_index,
+                    ops,
+                    width: point.pending.len() as u32,
+                    edges: None,
+                }
+            }
+        };
+        self.nodes.push(node);
+    }
 }
 
 /// What a completed schedule leaves for the fold to insert: its decision
 /// path and, after a miss, the nodes the trie lacked.
 pub(crate) struct Footprint {
     pub(crate) path: Vec<ThreadId>,
-    pub(crate) suffix: Option<Suffix>,
+    pub(crate) suffix: Option<Box<Suffix>>,
 }
 
 /// A prefix-keyed memo of the deterministic program: scheduling points keyed
@@ -234,10 +294,31 @@ pub(crate) struct Footprint {
 #[derive(Debug, Clone)]
 pub struct ScheduleCache {
     pub(crate) nodes: Vec<Node>,
+    /// Every choice node's pending operations, one contiguous run per node
+    /// in node order.
+    pub(crate) ops: Vec<PendingOp>,
+    /// Every choice node's explored decisions, linked per node.
+    pub(crate) edges: Vec<Edge>,
     pub(crate) terminals: Vec<TerminalDigest>,
     pub(crate) bytes: u64,
     pub(crate) max_bytes: u64,
     pub(crate) full: bool,
+    hits: u64,
+    insertions: u64,
+}
+
+/// The size and counters of a trie at one moment. The trie is append-only
+/// and every link added later targets a node or terminal added later, so
+/// [`ScheduleCache::truncate`] to an extent gives back exactly the trie it
+/// was taken from.
+#[derive(Debug, Clone, Copy)]
+struct Extent {
+    nodes: usize,
+    ops: usize,
+    edges: usize,
+    terminals: usize,
+    bytes: u64,
+    full: bool,
     hits: u64,
     insertions: u64,
 }
@@ -254,6 +335,8 @@ impl ScheduleCache {
     pub fn new(max_bytes: u64) -> Self {
         ScheduleCache {
             nodes: Vec::new(),
+            ops: Vec::new(),
+            edges: Vec::new(),
             terminals: Vec::new(),
             bytes: 0,
             max_bytes,
@@ -285,6 +368,33 @@ impl ScheduleCache {
         self.full
     }
 
+    /// The edge list starting at `head`, in insertion order.
+    fn edge_list(&self, head: Option<u32>) -> impl Iterator<Item = &Edge> + '_ {
+        let at = |i: u32| &self.edges[i as usize];
+        std::iter::successors(head.map(at), move |edge| edge.next.map(at))
+    }
+
+    /// Every outgoing edge of node `node` as (decision, link), in edge order.
+    pub(crate) fn links(&self, node: usize) -> impl Iterator<Item = (ThreadId, Link)> + '_ {
+        let (forced, head) = match self.nodes[node] {
+            Node::Forced { op, next } => (next.map(|link| (op.thread, link)), None),
+            Node::Choice { edges, .. } => (None, edges),
+        };
+        let edges = self.edge_list(head).map(|edge| (edge.thread, edge.link));
+        forced.into_iter().chain(edges)
+    }
+
+    /// Where decision `t` leads from node `node`, if it was explored.
+    pub(crate) fn edge(&self, node: usize, t: ThreadId) -> Option<Link> {
+        match self.nodes[node] {
+            Node::Forced { op, next } => next.filter(|_| op.thread == t),
+            Node::Choice { edges, .. } => self
+                .edge_list(edges)
+                .find(|edge| edge.thread == t)
+                .map(|edge| edge.link),
+        }
+    }
+
     /// Every buggy schedule memoized in the trie: the full decision path and
     /// the bug its terminal recorded, in deterministic (path-lexicographic)
     /// order. This is the raw material of the persistent bug corpus — see
@@ -298,7 +408,7 @@ impl ScheduleCache {
         // Iterative DFS: (node index, next edge ordinal to visit).
         let mut stack: Vec<(usize, usize)> = vec![(0, 0)];
         while let Some(&mut (node, ref mut edge)) = stack.last_mut() {
-            let next = self.nodes[node].links().nth(*edge);
+            let next = self.links(node).nth(*edge);
             *edge += 1;
             match next {
                 Some((t, Link::Interior(n))) => {
@@ -335,45 +445,27 @@ impl ScheduleCache {
         if self.nodes.is_empty() {
             return Walk::Miss(0);
         }
-        // Scratch point reused to present Forced nodes to the scheduler. The
-        // synthesized fields are chosen so every scheduler-visible quantity
-        // matches the real point: `round_robin_choice` returns the single
-        // enabled thread and both bound policies price it at zero, exactly as
-        // they do on the real forced point.
-        let mut scratch = SchedulingPoint {
-            enabled: Vec::with_capacity(1),
-            last: None,
-            last_enabled: true,
-            num_threads: 1,
-            step_index: 0,
-            pending: Vec::with_capacity(1),
-        };
+        // Inside the replayed prefix the scheduler reads only a node's
+        // operations; a frontier node is presented through this scratch
+        // point.
+        let mut scratch = SchedulingPoint::default();
         let mut cursor = 0usize;
         let mut depth = 0usize;
         loop {
-            let (chosen, next) = match &self.nodes[cursor] {
-                Node::Forced { op, next } => {
-                    scratch.enabled.clear();
-                    scratch.enabled.push(op.thread);
-                    scratch.pending.clear();
-                    scratch.pending.push(*op);
-                    scratch.last = Some(op.thread);
-                    scratch.num_threads = op.thread.index() + 1;
-                    scratch.step_index = depth;
-                    let chosen = scheduler.choose(&scratch);
-                    debug_assert_eq!(chosen, op.thread, "forced node must pick its only thread");
-                    (chosen, next.filter(|_| chosen == op.thread))
-                }
-                Node::Choice { point, edges } => {
-                    let chosen = scheduler.choose(point);
-                    let next = edges.iter().find(|(d, _)| *d == chosen).map(|(_, l)| *l);
-                    (chosen, next)
-                }
-            };
+            let node = &self.nodes[cursor];
+            let ops = node.ops(&self.ops);
+            let chosen = scheduler.replay_step(ops).unwrap_or_else(|| {
+                node.present(ops, depth, &mut scratch);
+                scheduler.choose(&scratch)
+            });
+            debug_assert!(
+                matches!(node, Node::Choice { .. }) || chosen == ops[0].thread,
+                "forced node must pick its only thread"
+            );
             if let Some(path) = path.as_deref_mut() {
                 path.push(chosen);
             }
-            match next {
+            match self.edge(cursor, chosen) {
                 Some(Link::Interior(n)) => {
                     cursor = n as usize;
                     depth += 1;
@@ -391,6 +483,40 @@ impl ScheduleCache {
         self.full
     }
 
+    /// Append `node`, whose choice range indexes `pool`, moving its
+    /// operations into this trie's pool; whether the cap is now reached.
+    fn push(&mut self, mut node: Node, pool: &[PendingOp]) -> bool {
+        if let Node::Choice { ops, width, .. } = &mut node {
+            let recorded = &pool[*ops as usize..][..*width as usize];
+            *ops = self.ops.len() as u32;
+            self.ops.extend_from_slice(recorded);
+        }
+        self.nodes.push(node);
+        self.charge(node.weight())
+    }
+
+    /// Add the edge `t -> link` to node `node`, after its existing edges.
+    fn link(&mut self, node: usize, t: ThreadId, link: Link) {
+        let added = self.edges.len() as u32;
+        let mut slot = match &mut self.nodes[node] {
+            Node::Forced { op, next } => {
+                debug_assert_eq!(t, op.thread);
+                *next = Some(link);
+                return;
+            }
+            Node::Choice { edges, .. } => edges,
+        };
+        while let Some(i) = *slot {
+            slot = &mut self.edges[i as usize].next;
+        }
+        *slot = Some(added);
+        self.edges.push(Edge {
+            thread: t,
+            link,
+            next: None,
+        });
+    }
+
     /// Insert a completed execution's `path`, taking the nodes the trie lacks
     /// from `suffix` (the trie may have grown past the miss depth since the
     /// walk, up to the whole path).
@@ -403,7 +529,7 @@ impl ScheduleCache {
     pub(crate) fn insert(
         &mut self,
         path: &[ThreadId],
-        suffix: Suffix,
+        suffix: &Suffix,
         digest: TerminalDigest,
         capped: bool,
     ) {
@@ -411,28 +537,18 @@ impl ScheduleCache {
             return;
         }
         debug_assert_eq!(suffix.depth + suffix.nodes.len(), path.len());
-        let mut recorded = suffix.nodes.into_iter();
-        // Depth of the node `recorded` yields next.
-        let mut head = suffix.depth;
-        let mut node_at = |depth: usize| {
-            debug_assert!(depth >= head, "missing node for cached prefix");
-            let node = recorded.nth(depth - head).expect("one node per decision");
-            head = depth + 1;
-            node
+        let recorded = |depth: usize| {
+            let i = depth.checked_sub(suffix.depth);
+            suffix.nodes[i.expect("missing node for cached prefix")]
         };
-        if self.nodes.is_empty() {
-            let node = node_at(0);
-            let full = self.charge(node.weight());
-            self.nodes.push(node);
-            if capped && full {
-                return;
-            }
+        if self.nodes.is_empty() && self.push(recorded(0), &suffix.ops) && capped {
+            return;
         }
         let mut cursor = 0usize;
         let mut terminal = Some(digest);
         for (i, &t) in path.iter().enumerate() {
             let is_last = i + 1 == path.len();
-            let link = match self.nodes[cursor].edge(t) {
+            let link = match self.edge(cursor, t) {
                 Some(Link::Interior(n)) => {
                     debug_assert!(!is_last, "an interior edge cannot end a schedule");
                     cursor = n as usize;
@@ -450,20 +566,12 @@ impl ScheduleCache {
                     Link::Terminal(d)
                 }
                 None => {
-                    let node = node_at(i + 1);
-                    self.charge(node.weight());
                     let n = self.nodes.len() as u32;
-                    self.nodes.push(node);
+                    self.push(recorded(i + 1), &suffix.ops);
                     Link::Interior(n)
                 }
             };
-            match &mut self.nodes[cursor] {
-                Node::Forced { op, next } => {
-                    debug_assert_eq!(t, op.thread);
-                    *next = Some(link);
-                }
-                Node::Choice { edges, .. } => edges.push((t, link)),
-            }
+            self.link(cursor, t, link);
             if let Link::Interior(n) = link {
                 cursor = n as usize;
             }
@@ -475,11 +583,50 @@ impl ScheduleCache {
         }
         self.insertions += 1;
     }
+
+    fn extent(&self) -> Extent {
+        Extent {
+            nodes: self.nodes.len(),
+            ops: self.ops.len(),
+            edges: self.edges.len(),
+            terminals: self.terminals.len(),
+            bytes: self.bytes,
+            full: self.full,
+            hits: self.hits,
+            insertions: self.insertions,
+        }
+    }
+
+    /// Roll the trie back to `extent`, taken from it earlier: drop what was
+    /// appended since and cut every link that points past the extent, which
+    /// can only be a link added since.
+    fn truncate(&mut self, extent: &Extent) {
+        self.nodes.truncate(extent.nodes);
+        self.ops.truncate(extent.ops);
+        self.edges.truncate(extent.edges);
+        self.terminals.truncate(extent.terminals);
+        (self.bytes, self.full) = (extent.bytes, extent.full);
+        (self.hits, self.insertions) = (extent.hits, extent.insertions);
+        let kept_link = |link: &Link| match *link {
+            Link::Interior(n) => (n as usize) < extent.nodes,
+            Link::Terminal(d) => (d as usize) < extent.terminals,
+        };
+        let kept_edge = |i: &u32| (*i as usize) < extent.edges;
+        for node in &mut self.nodes {
+            match node {
+                Node::Forced { next, .. } => *next = next.filter(kept_link),
+                Node::Choice { edges, .. } => *edges = edges.filter(kept_edge),
+            }
+        }
+        for edge in &mut self.edges {
+            edge.next = edge.next.filter(kept_edge);
+        }
+    }
 }
 
 // Lock poisoning is recovered, not propagated: statistics come from the
 // fold's own counts and views, never from the trie, and the harness resets a
-// shared cache to its pristine baseline after catching an engine panic
+// shared cache to its load-time extent after catching an engine panic
 // ([`SharedCache::restore_baseline`]).
 pub(crate) fn read(lock: &RwLock<ScheduleCache>) -> RwLockReadGuard<'_, ScheduleCache> {
     lock.read().unwrap_or_else(PoisonError::into_inner)
@@ -557,12 +704,12 @@ fn finish(
     // the live scheduling points.
     scheduler.rewind_replay();
     exec.reset();
-    let mut nodes: Vec<Node> = Vec::new();
+    let mut suffix = Suffix::new(depth);
     let mut step = 0usize;
     let outcome = exec.run(
         &mut |point| {
             if record && step >= depth {
-                nodes.push(Node::of_point(point));
+                suffix.record(point);
             }
             step += 1;
             scheduler.choose(point)
@@ -572,7 +719,7 @@ fn finish(
     scheduler.end_execution(&outcome);
     let footprint = (record || path.is_some()).then(|| Footprint {
         path: outcome.schedule(),
-        suffix: record.then_some(Suffix { depth, nodes }),
+        suffix: record.then(|| Box::new(suffix)),
     });
     (ScheduleRun::Executed(outcome), footprint)
 }
@@ -600,7 +747,7 @@ pub fn run_begun_schedule(
     let (run, footprint) = finish(exec, scheduler, walk, record, path);
     let path = footprint.map(|Footprint { path, suffix }| {
         if let (Some(suffix), Some(c)) = (suffix, cache) {
-            c.insert(&path, suffix, run.digest(), true);
+            c.insert(&path, &suffix, run.digest(), true);
         }
         path
     });
@@ -694,7 +841,7 @@ impl View {
         let mut matched = 0usize;
         if rooted {
             for &t in path {
-                match arena.nodes[cursor as usize].edge(t) {
+                match arena.edge(cursor as usize, t) {
                     Some(Link::Interior(n)) if self.nodes.contains(n) => {
                         cursor = n;
                         matched += 1;
@@ -714,7 +861,7 @@ impl View {
             }
         }
         for &t in &path[matched..] {
-            let link = arena.nodes[cursor as usize].edge(t);
+            let link = arena.edge(cursor as usize, t);
             let weight = match link.expect("the fold inserts every path a view charges") {
                 Link::Interior(n) => {
                     self.nodes.insert(n);
@@ -739,23 +886,23 @@ impl View {
 ///
 /// The `live` trie is an append-only arena: every search walks it, the fold
 /// of the running search inserts into it, and each search accounts through a
-/// `View` started from the load-time trie. The harness runs a benchmark's
+/// `View` started from the load-time trie. The load-time trie is kept as its
+/// extent, not as a copy: the arena only appends, so the extent is both
+/// where every view starts and what a panic-poisoned live trie is rolled back
+/// to ([`SharedCache::restore_baseline`]). The harness runs a benchmark's
 /// campaign searches one at a time.
 #[derive(Debug)]
 pub struct SharedCache {
     live: RwLock<ScheduleCache>,
-    /// A full copy of the load-time trie: the extent every view starts from,
-    /// and the known-good contents a panic-poisoned live trie is rolled back
-    /// to ([`SharedCache::restore_baseline`]).
-    pristine: ScheduleCache,
+    baseline: Extent,
 }
 
 impl SharedCache {
     /// Wrap an existing (possibly freshly loaded) cache, recording its
-    /// current contents as the accounting baseline.
+    /// current extent as the accounting baseline.
     pub fn of(cache: ScheduleCache) -> Self {
         SharedCache {
-            pristine: cache.clone(),
+            baseline: cache.extent(),
             live: RwLock::new(cache),
         }
     }
@@ -765,24 +912,24 @@ impl SharedCache {
         SharedCache::of(ScheduleCache::new(max_bytes))
     }
 
-    /// The live trie, for walking behind the lock.
-    pub fn live(&self) -> &RwLock<ScheduleCache> {
+    /// The live trie, for walking behind the lock. Only the fold of
+    /// [`crate::explore`] writes through it.
+    pub(crate) fn live(&self) -> &RwLock<ScheduleCache> {
         &self.live
     }
 
     /// A fresh view of the load-time trie, for one search to account
     /// through.
     pub(crate) fn view(&self) -> View {
-        let base = &self.pristine;
         let marks = |base: usize| Marks {
             base: base as u32,
             words: Vec::new(),
         };
         View {
-            nodes: marks(base.nodes.len()),
-            terminals: marks(base.terminals.len()),
-            bytes: base.bytes,
-            full: base.full,
+            nodes: marks(self.baseline.nodes),
+            terminals: marks(self.baseline.terminals),
+            bytes: self.baseline.bytes,
+            full: self.baseline.full,
         }
     }
 
@@ -792,15 +939,15 @@ impl SharedCache {
         f(&read(&self.live))
     }
 
-    /// Roll the live trie back to the pristine load-time contents and clear
-    /// any lock poisoning. The harness calls this after catching an engine
-    /// panic: a writer that unwound mid-insert may have left the trie
-    /// structurally inconsistent, and a corrupt memo — unlike a merely stale
-    /// one — could serve wrong digests. Memoized work from after load time is
-    /// lost (a pure perf cost); the next search's view starts from exactly
-    /// the restored contents.
+    /// Roll the live trie back to its load-time contents and clear any lock
+    /// poisoning. The harness calls this after catching an engine panic: a
+    /// writer that unwound mid-insert may have left nodes or edges appended
+    /// but not linked, and a corrupt memo — unlike a merely stale one — could
+    /// serve wrong digests. Truncating to the load-time extent drops all of
+    /// that. Memoized work from after load time is lost (a pure perf cost);
+    /// the next search's view starts from exactly the restored contents.
     pub fn restore_baseline(&self) {
-        *write(&self.live) = self.pristine.clone();
+        write(&self.live).truncate(&self.baseline);
         self.live.clear_poison();
     }
 }
@@ -1002,7 +1149,7 @@ mod tests {
                 physical += u64::from(matches!(run, ScheduleRun::Served(_)));
                 let Footprint { path, suffix } = footprint.expect("an arena walk returns its path");
                 if let (false, Some(suffix)) = (view.full, suffix) {
-                    write(shared.live()).insert(&path, suffix, run.digest(), false);
+                    write(shared.live()).insert(&path, &suffix, run.digest(), false);
                 }
                 hits += u64::from(shared.with_live(|arena| view.apply(arena, &path)));
             }
@@ -1065,20 +1212,20 @@ mod tests {
     }
 
     /// One execution of `program` in the shape `insert` takes it: the
-    /// schedule, a fresh node per scheduling point, the enabled-thread
-    /// counts and the terminal digest. It follows round robin, except that
-    /// at step `divert` it picks the last enabled thread.
+    /// schedule, its recorded suffix (a fresh node per scheduling point), the
+    /// enabled-thread counts and the terminal digest. It follows round
+    /// robin, except that at step `divert` it picks the last enabled thread.
     fn recorded_run(
         program: &Program,
         divert: usize,
-    ) -> (Vec<ThreadId>, Vec<Node>, Vec<u32>, TerminalDigest) {
+    ) -> (Vec<ThreadId>, Suffix, Vec<u32>, TerminalDigest) {
         let config = ExecConfig::all_visible();
         let mut exec = Execution::new_shared(program, &config);
-        let mut nodes = Vec::new();
+        let mut suffix = Suffix::new(0);
         let outcome = exec.run(
             &mut |point| {
-                let step = nodes.len();
-                nodes.push(Node::of_point(point));
+                let step = suffix.nodes.len();
+                suffix.record(point);
                 if step == divert {
                     *point.enabled.last().expect("a point has an enabled thread")
                 } else {
@@ -1094,7 +1241,7 @@ mod tests {
             .collect();
         (
             outcome.schedule(),
-            nodes,
+            suffix,
             counts,
             TerminalDigest::of(&outcome),
         )
@@ -1103,17 +1250,17 @@ mod tests {
     #[test]
     fn racing_inserts_of_a_shared_prefix_charge_only_the_new_suffix() {
         let prog = figure1();
-        let (a, a_nodes, a_counts, a_digest) = recorded_run(&prog, usize::MAX);
+        let (a, a_suffix, a_counts, a_digest) = recorded_run(&prog, usize::MAX);
         // Diverge from round robin at the last step where that changes the
         // choice, so the two schedules share every decision before it.
         let divert = (0..a.len())
             .rev()
             .find(|&i| {
-                matches!(&a_nodes[i], Node::Choice { point, .. }
-                    if point.enabled.last() != Some(&a[i]))
+                let ops = a_suffix.nodes[i].ops(&a_suffix.ops);
+                ops.len() > 1 && ops[ops.len() - 1].thread != a[i]
             })
             .expect("figure1 has a choice point");
-        let (b, b_nodes, b_counts, b_digest) = recorded_run(&prog, divert);
+        let (b, b_suffix, b_counts, b_digest) = recorded_run(&prog, divert);
         assert_eq!(a[..divert], b[..divert]);
         assert_ne!(a[divert], b[divert], "the diverted step must differ");
 
@@ -1123,19 +1270,15 @@ mod tests {
         let mut view = shared.view();
         // Both inserts claim a miss at the root, as a stealing worker whose
         // walk ran before the fold inserted an earlier visit would.
-        let mut insert = |path: &[ThreadId], nodes: &[Node], digest: &TerminalDigest| {
-            let suffix = |nodes: &[Node]| Suffix {
-                depth: 0,
-                nodes: nodes.to_vec(),
-            };
-            cache.insert(path, suffix(nodes), digest.clone(), true);
-            write(shared.live()).insert(path, suffix(nodes), digest.clone(), false);
+        let mut insert = |path: &[ThreadId], suffix: &Suffix, digest: &TerminalDigest| {
+            cache.insert(path, suffix, digest.clone(), true);
+            write(shared.live()).insert(path, suffix, digest.clone(), false);
             let served = shared.with_live(|arena| view.apply(arena, path));
             assert!(!served, "a fresh path cannot be served");
             (cache.bytes(), cache.insertions())
         };
-        let (before, _) = insert(&a, &a_nodes, &a_digest);
-        let (after, insertions) = insert(&b, &b_nodes, &b_digest);
+        let (before, _) = insert(&a, &a_suffix, &a_digest);
+        let (after, insertions) = insert(&b, &b_suffix, &b_digest);
         let suffix: u64 = b_counts[divert + 1..]
             .iter()
             .map(|&n| node_weight(n as usize))
@@ -1149,7 +1292,7 @@ mod tests {
             for (d, &t) in schedule.iter().enumerate() {
                 let node = &cache.nodes[cursor];
                 assert_eq!(node.weight(), node_weight(counts[d] as usize), "depth {d}");
-                match node.edge(t) {
+                match cache.edge(cursor, t) {
                     Some(Link::Interior(n)) => cursor = n as usize,
                     Some(Link::Terminal(i)) => return cache.terminals[i as usize].clone(),
                     None => panic!("path left the trie at depth {d}"),
@@ -1163,11 +1306,7 @@ mod tests {
         // A schedule already in the trie changes nothing, and the view now
         // serves it.
         let (_, again, _, _) = recorded_run(&prog, usize::MAX);
-        let suffix = Suffix {
-            depth: 0,
-            nodes: again,
-        };
-        cache.insert(&a, suffix, a_digest, true);
+        cache.insert(&a, &again, a_digest, true);
         assert_eq!((cache.bytes(), cache.insertions()), (after, 2));
         assert!(
             shared.with_live(|arena| view.apply(arena, &a)),
@@ -1198,24 +1337,75 @@ mod tests {
         }
     }
 
-    /// A technique unit panicking while it holds the live write lock poisons
-    /// the `RwLock`; the recovery path must bring the shared trie back to
-    /// its load-time contents, clear the poison, and start the next view
-    /// from the restored contents.
+    /// The figure-1 delay search truncated at this cap ends at a forced node.
+    const CAP_AT_A_FORCED_NODE: u64 = 1_800;
+
+    /// Insert every footprint of `levels` over `shared` uncapped, as the
+    /// fold inserts into a campaign arena.
+    fn grow(program: &Program, shared: &SharedCache, levels: &[(BoundKind, u32)]) {
+        let config = ExecConfig::all_visible();
+        let mut exec = Execution::new_shared(program, &config);
+        for &(kind, bound) in levels {
+            let mut dfs = BoundedDfs::new(kind.policy(), bound);
+            while dfs.begin_execution() {
+                let walker = Walker {
+                    trie: shared.live(),
+                    arena: true,
+                };
+                let (run, footprint) = complete(&mut exec, &mut dfs, Some(walker));
+                let Footprint { path, suffix } = footprint.expect("an arena walk returns its path");
+                if let Some(suffix) = suffix {
+                    write(shared.live()).insert(&path, &suffix, run.digest(), false);
+                }
+            }
+        }
+    }
+
+    /// A technique unit panicking in the middle of an insert poisons the
+    /// `RwLock` and can leave nodes and edges appended but not linked; the
+    /// recovery path must bring the shared trie back to exactly its loaded
+    /// contents — every link added since cut, on load-time forced and choice
+    /// nodes alike — clear the poison, and start the next view from the
+    /// restored contents.
     #[test]
     fn restore_baseline_recovers_a_poisoned_live_lock_to_the_loaded_contents() {
         let prog = figure1();
-        let mut cache = ScheduleCache::default();
-        let (_, _) = run_level(&prog, 0, false, Some(&mut cache));
-        let loaded_bytes = cache.bytes();
-        assert!(loaded_bytes > 0, "the level-0 interior must be non-empty");
-        let shared = SharedCache::of(cache);
-        viewed_search(&prog, &shared, &mut shared.view(), SIBLING_LEVELS, false);
-        assert!(shared.with_live(|arena| arena.bytes()) > loaded_bytes);
+        // A capped search whose last insert was truncated just after a
+        // forced node: that node is loaded with no outgoing link.
+        let mut cache = ScheduleCache::new(CAP_AT_A_FORCED_NODE);
+        private_search(&prog, &mut cache, DELAY_LEVELS, false);
+        let key = 0x5eed;
+        let artifact = crate::corpus::cache_to_bytes(&cache, key);
+        let loaded = crate::corpus::cache_from_bytes(&artifact, key, std::path::Path::new("mem"))
+            .expect("a saved trie loads");
+        let (bytes, full) = (loaded.bytes(), loaded.is_full());
+        let before = loaded.clone();
+        let shared = SharedCache::of(loaded);
+        grow(&prog, &shared, SIBLING_LEVELS);
+        grow(&prog, &shared, DELAY_LEVELS);
+        shared.with_live(|arena| {
+            let gained = |forced: bool| {
+                (0..before.nodes.len()).any(|i| {
+                    matches!(before.nodes[i], Node::Forced { .. }) == forced
+                        && arena.links(i).count() > before.links(i).count()
+                })
+            };
+            assert!(gained(true), "no load-time forced node was linked");
+            assert!(gained(false), "no load-time choice node gained an edge");
+        });
 
         let unit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut live = shared.live().write().unwrap();
-            *live = ScheduleCache::new(1); // torn mid-update state
+            // Torn mid-insert: a node and an edge to it, appended but not
+            // yet linked from anywhere.
+            let op = live.ops[0];
+            let n = live.nodes.len() as u32;
+            live.nodes.push(Node::Forced { op, next: None });
+            live.edges.push(Edge {
+                thread: op.thread,
+                link: Link::Interior(n),
+                next: None,
+            });
             panic!("engine died mid-insertion");
         }));
         assert!(unit.is_err());
@@ -1223,11 +1413,14 @@ mod tests {
 
         shared.restore_baseline();
         assert!(!shared.live().is_poisoned(), "recovery must clear poison");
-        assert_eq!(shared.with_live(|c| c.bytes()), loaded_bytes);
+        assert!(
+            shared.with_live(|c| crate::corpus::cache_to_bytes(c, key)) == artifact,
+            "the restored trie must encode to the loaded artifact byte for byte"
+        );
         let view = shared.view();
         assert_eq!(
             (view.bytes, view.full),
-            (loaded_bytes, false),
+            (bytes, full),
             "a fresh view must describe the restored live contents"
         );
     }

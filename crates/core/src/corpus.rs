@@ -1,18 +1,21 @@
 //! Persistent schedule corpus ("campaign mode").
 //!
-//! The PR 3 [`ScheduleCache`] trie memoizes the deterministic program, but it
+//! The [`ScheduleCache`] trie memoizes the deterministic program, but it
 //! dies with the process: every study re-explores from scratch. This module
 //! makes the trie a first-class on-disk artifact so repeated studies *resume*
 //! instead of restart:
 //!
 //! * a **versioned, endian-stable binary format** for the trie
-//!   ([`cache_to_bytes`] / [`cache_from_bytes`]): interior nodes (including
-//!   the compressed single-enabled representation), terminal digests and the
-//!   byte accounting round-trip exactly. Every artifact ends in a checksum of
-//!   all the bytes before it (format version 2), checked before anything is
-//!   decoded, and every decoded trie is validated structurally — corrupted,
-//!   truncated or wrong-version files fail with a [`CorpusError`], never a
-//!   panic, a silent cold start or a silently changed digest;
+//!   ([`cache_to_bytes`] / [`cache_from_bytes`]): the trie's flat columns —
+//!   nodes (forced nodes inline, choice nodes as scalars plus pool indices),
+//!   the operation pool, the edge pool and the terminal digests — and the
+//!   byte accounting round-trip exactly, so decoding is one pass per column
+//!   and re-encoding a loaded trie reproduces its bytes. Every artifact ends
+//!   in a checksum of all the bytes before it, checked before anything is
+//!   decoded, and every decoded trie is validated structurally, pools
+//!   included — corrupted, truncated or wrong-version files fail with a
+//!   [`CorpusError`], never a panic, a hang, a silent cold start or a
+//!   silently changed digest;
 //! * a **keyed** header: the file records a fingerprint of the program name
 //!   and [`ExecConfig`] it was built against ([`corpus_key`]), because a trie
 //!   is only a valid memo of the exact deterministic program it observed —
@@ -39,7 +42,7 @@
 //! [`SharedCache`](crate::cache::SharedCache) — see `crate::explore` — which
 //! keeps the resumed statistics deterministic at any worker count.
 
-use crate::cache::{Link, Node, ScheduleCache, TerminalDigest, TERMINAL_BYTES};
+use crate::cache::{Edge, Link, Node, ScheduleCache, TerminalDigest, TERMINAL_BYTES};
 use crate::fault::{self, FaultKind};
 use sct_ir::{Loc, Program, TemplateId};
 use sct_runtime::{
@@ -54,9 +57,12 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// On-disk format version. Bump on any incompatible layout change; loads of
-/// other versions fail with [`CorpusError::UnsupportedVersion`]. Version 2
-/// ends every artifact with an 8-byte FNV-1a checksum of the bytes before it.
-pub const FORMAT_VERSION: u32 = 2;
+/// other versions fail with [`CorpusError::UnsupportedVersion`]. Since
+/// version 2 every artifact ends with an 8-byte FNV-1a checksum of the bytes
+/// before it; version 3 stores the trie as its flat columns, without the
+/// enabled-thread lists (a choice node's enabled threads are its operations'
+/// threads).
+pub const FORMAT_VERSION: u32 = 3;
 
 const CACHE_MAGIC: &[u8; 4] = b"SCTC";
 const BUGS_MAGIC: &[u8; 4] = b"SCTB";
@@ -507,14 +513,6 @@ wire! {
     struct TemplateId(u32);
     struct Loc { template: TemplateId, pc: u32 }
     struct PendingOp { thread: ThreadId, loc: Loc, addr: Option<usize>, is_write: bool }
-    struct SchedulingPoint {
-        enabled: Vec<ThreadId>,
-        last: Option<ThreadId>,
-        last_enabled: bool,
-        num_threads: usize,
-        step_index: usize,
-        pending: Vec<PendingOp>,
-    }
     struct TerminalDigest {
         bug: Option<Bug>,
         diverged: bool,
@@ -531,8 +529,17 @@ wire! {
     }
     enum Node {
         0 => Forced { op: PendingOp, next: Option<Link> },
-        1 => Choice { point: SchedulingPoint, edges: Vec<(ThreadId, Link)> },
+        1 => Choice {
+            last: Option<ThreadId>,
+            last_enabled: bool,
+            num_threads: usize,
+            step_index: usize,
+            ops: u32,
+            width: u32,
+            edges: Option<u32>,
+        },
     }
+    struct Edge { thread: ThreadId, link: Link, next: Option<u32> }
     enum Bug {
         0 => AssertionFailure { thread: ThreadId, loc: Loc, msg: String },
         1 => ExplicitFailure { thread: ThreadId, loc: Loc, msg: String },
@@ -648,6 +655,8 @@ pub fn cache_to_bytes(cache: &ScheduleCache, key: u64) -> Vec<u8> {
         cache.bytes.put(w);
         cache.full.put(w);
         cache.nodes.put(w);
+        cache.ops.put(w);
+        cache.edges.put(w);
         cache.terminals.put(w);
     })
 }
@@ -661,6 +670,8 @@ pub fn cache_from_bytes(data: &[u8], key: u64, path: &Path) -> Result<ScheduleCa
         cache.bytes = Wire::get(r)?;
         cache.full = Wire::get(r)?;
         cache.nodes = Wire::get(r)?;
+        cache.ops = Wire::get(r)?;
+        cache.edges = Wire::get(r)?;
         cache.terminals = Wire::get(r)?;
         validate_cache(&cache)?;
         Ok(cache)
@@ -668,13 +679,71 @@ pub fn cache_from_bytes(data: &[u8], key: u64, path: &Path) -> Result<ScheduleCa
 }
 
 /// Structural integrity of a freshly decoded trie: it has the shape
-/// `ScheduleCache::insert` builds — every interior link points forward, and
-/// every node but the root and every terminal is the target of exactly one
-/// link, inside the node/terminal tables — and recomputing the byte estimate
-/// from the nodes reproduces the stored accounting (so a bit flip in either
-/// is caught). A back-link would make walks loop forever; a shared child
-/// would serve digests recorded under another prefix.
+/// `ScheduleCache::insert` builds — every choice node owns at least two
+/// operations, the next contiguous run of the operation pool; every edge is
+/// on exactly one choice node's list, once; every interior link points
+/// forward; and every node but the root and every terminal is the target of
+/// exactly one link, inside the node/terminal tables — and recomputing the
+/// byte estimate from the nodes reproduces the stored accounting (so a bit
+/// flip in either is caught). A back-link or an edge cycle would make walks
+/// loop forever; a shared child would serve digests recorded under another
+/// prefix.
 fn validate_cache(cache: &ScheduleCache) -> Decode<()> {
+    let mut ops_end = 0usize;
+    let mut edge_owner: Vec<Option<usize>> = vec![None; cache.edges.len()];
+    for (holder, node) in cache.nodes.iter().enumerate() {
+        let Node::Choice {
+            ops, width, edges, ..
+        } = *node
+        else {
+            continue;
+        };
+        if width < 2 {
+            return Err(format!("choice node {holder} has {width} ops"));
+        }
+        if ops as usize != ops_end {
+            return Err(format!(
+                "choice node {holder} ops start at {ops}, not where the previous run ends ({ops_end})"
+            ));
+        }
+        ops_end += width as usize;
+        if ops_end > cache.ops.len() {
+            return Err(format!(
+                "choice node {holder} ops {ops}..{ops_end} out of bounds ({} ops)",
+                cache.ops.len()
+            ));
+        }
+        let mut next = edges;
+        while let Some(e) = next.map(|e| e as usize) {
+            match edge_owner.get_mut(e) {
+                None => {
+                    return Err(format!(
+                        "choice node {holder} links edge {e} out of bounds ({} edges)",
+                        cache.edges.len()
+                    ))
+                }
+                Some(Some(owner)) if *owner == holder => {
+                    return Err(format!("edge {e} closes a cycle in node {holder}'s list"))
+                }
+                Some(Some(owner)) => {
+                    return Err(format!(
+                        "edge {e} is in the lists of nodes {owner} and {holder}"
+                    ))
+                }
+                Some(owner) => *owner = Some(holder),
+            }
+            next = cache.edges[e].next;
+        }
+    }
+    if ops_end != cache.ops.len() {
+        return Err(format!(
+            "ops {ops_end}..{} belong to no choice node",
+            cache.ops.len()
+        ));
+    }
+    if let Some(e) = edge_owner.iter().position(Option::is_none) {
+        return Err(format!("edge {e} is unreachable"));
+    }
     let nodes = cache.nodes.len();
     let terminals = cache.terminals.len();
     let mut node_linked = vec![false; nodes];
@@ -682,7 +751,7 @@ fn validate_cache(cache: &ScheduleCache) -> Decode<()> {
     let mut recomputed = 0u64;
     for (holder, node) in cache.nodes.iter().enumerate() {
         recomputed += node.weight();
-        for (_, link) in node.links() {
+        for (_, link) in cache.links(holder) {
             let (kind, target, linked) = match link {
                 Link::Interior(n) if n as usize <= holder => {
                     return Err(format!("node {holder} links back to node {n}"))
@@ -1153,8 +1222,9 @@ mod tests {
             Err(CorpusError::BadMagic { .. })
         ));
 
-        // Unsupported version, including a version-1 file (no checksum).
-        for found in [1, 99] {
+        // Unsupported version, including a version-1 file (no checksum) and
+        // a version-2 file (nested scheduling points instead of pools).
+        for found in [1, 2, 99] {
             let mut bad = good.clone();
             bad[4] = found as u8;
             assert!(matches!(
@@ -1217,40 +1287,120 @@ mod tests {
             "{err}"
         );
 
+        // Behind a valid checksum, `validate_cache` is the only guard: each
+        // artifact below is re-encoded (so re-checksummed) and must fail as
+        // corrupted, naming the node or edge at fault.
+        let rejected =
+            |bad: &ScheduleCache| match cache_from_bytes(&cache_to_bytes(bad, key), key, p) {
+                Err(CorpusError::Corrupted { detail, .. }) => detail,
+                other => panic!("a malformed trie was not rejected as corrupted: {other:?}"),
+            };
+
         // Links that keep the byte accounting intact but break the shape
         // `insert` builds: a link back to the root (walks would loop), and
         // a child two parents share (it would serve digests recorded under
-        // the other prefix).
-        let interior: Vec<(usize, u32)> = cache
-            .nodes
-            .iter()
-            .enumerate()
-            .flat_map(|(holder, node)| node.links().map(move |(_, link)| (holder, link)))
-            .filter_map(|(holder, link)| match link {
-                Link::Interior(n) => Some((holder, n)),
+        // the other prefix). Every interior target has one incoming link, so
+        // a link is named by its target.
+        let interior: Vec<u32> = (0..cache.nodes.len())
+            .flat_map(|holder| cache.links(holder))
+            .filter_map(|(_, link)| match link {
+                Link::Interior(n) => Some(n),
                 Link::Terminal(_) => None,
             })
             .collect();
-        let redirect = |(holder, from): (usize, u32), to: u32| {
+        let redirect = |from: u32, to: u32| {
             let mut bad = cache.clone();
             let retarget = |link: &mut Link| {
-                if matches!(link, Link::Interior(n) if *n == from) {
+                if *link == Link::Interior(from) {
                     *link = Link::Interior(to);
                 }
             };
-            match &mut bad.nodes[holder] {
-                Node::Forced { next, .. } => next.iter_mut().for_each(retarget),
-                Node::Choice { edges, .. } => edges.iter_mut().for_each(|(_, l)| retarget(l)),
+            for node in &mut bad.nodes {
+                if let Node::Forced {
+                    next: Some(link), ..
+                } = node
+                {
+                    retarget(link);
+                }
             }
-            let err = cache_from_bytes(&cache_to_bytes(&bad, key), key, p).unwrap_err();
-            err.to_string()
+            bad.edges
+                .iter_mut()
+                .for_each(|edge| retarget(&mut edge.link));
+            rejected(&bad)
         };
         let (first, last) = (interior[0], interior[interior.len() - 1]);
         assert!(first != last, "figure1's trie has several interior links");
         let err = redirect(last, 0);
         assert!(err.contains("links back to node 0"), "{err}");
-        let err = redirect(first, last.1);
+        let err = redirect(first, last);
         assert!(err.contains("target of two links"), "{err}");
+
+        // The pools: operation runs and edge lists.
+        let choices: Vec<usize> = (0..cache.nodes.len())
+            .filter(|&i| matches!(cache.nodes[i], Node::Choice { edges: Some(_), .. }))
+            .collect();
+        assert!(choices.len() >= 2, "figure1's trie has two choice nodes");
+        let (c0, c1) = (choices[0], choices[1]);
+        let with_choice = |at: usize, edit: &dyn Fn(&mut u32, &mut u32, &mut Option<u32>)| {
+            let mut bad = cache.clone();
+            let Node::Choice {
+                ops, width, edges, ..
+            } = &mut bad.nodes[at]
+            else {
+                unreachable!("node {at} is a choice node")
+            };
+            edit(ops, width, edges);
+            rejected(&bad)
+        };
+        let err = with_choice(c0, &|_, width, _| *width = 1);
+        assert!(
+            err.contains(&format!("choice node {c0} has 1 ops")),
+            "{err}"
+        );
+        let err = with_choice(c1, &|ops, _, _| *ops += 1);
+        assert!(
+            err.contains(&format!("choice node {c1} ops start at")),
+            "{err}"
+        );
+        let mut bad = cache.clone();
+        bad.ops.pop();
+        let err = rejected(&bad);
+        assert!(err.contains("out of bounds"), "{err}");
+        let past = cache.edges.len() as u32;
+        let err = with_choice(c0, &|_, _, edges| *edges = Some(past));
+        assert!(
+            err.contains(&format!("choice node {c0} links edge {past} out of bounds")),
+            "{err}"
+        );
+        let head = |at: usize| match cache.nodes[at] {
+            Node::Choice { edges, .. } => edges.expect("the choice node has edges"),
+            Node::Forced { .. } => unreachable!("node {at} is a choice node"),
+        };
+        let err = with_choice(c1, &|_, _, edges| *edges = Some(head(c0)));
+        assert!(
+            err.contains(&format!("is in the lists of nodes {c0} and {c1}")),
+            "{err}"
+        );
+        let mut bad = cache.clone();
+        let tail = std::iter::successors(Some(head(c0)), |&e| cache.edges[e as usize].next)
+            .last()
+            .expect("the list has an edge");
+        bad.edges[tail as usize].next = Some(head(c0));
+        let err = rejected(&bad);
+        assert!(
+            err.contains(&format!("closes a cycle in node {c0}'s list")),
+            "{err}"
+        );
+        let mut bad = cache.clone();
+        bad.edges.push(Edge {
+            next: None,
+            ..cache.edges[0]
+        });
+        let err = rejected(&bad);
+        assert!(
+            err.contains(&format!("edge {} is unreachable", cache.edges.len())),
+            "{err}"
+        );
     }
 
     fn loc(template: u32, pc: u32) -> Loc {
@@ -1276,38 +1426,26 @@ mod tests {
         let t = ThreadId;
         let nodes = vec![
             Node::Choice {
-                point: SchedulingPoint {
-                    enabled: vec![t(0), t(1)],
-                    last: None,
-                    last_enabled: false,
-                    num_threads: 2,
-                    step_index: 0,
-                    pending: vec![op(0, 1, Some(3), true), op(1, 2, None, false)],
-                },
-                edges: vec![(t(0), Link::Interior(1)), (t(1), Link::Terminal(0))],
+                last: None,
+                last_enabled: false,
+                num_threads: 2,
+                step_index: 0,
+                ops: 0,
+                width: 2,
+                edges: Some(0),
             },
             Node::Forced {
                 op: op(0, 2, Some(4), false),
                 next: Some(Link::Interior(2)),
             },
             Node::Choice {
-                point: SchedulingPoint {
-                    enabled: vec![t(0), t(1), t(2)],
-                    last: Some(t(0)),
-                    last_enabled: true,
-                    num_threads: 3,
-                    step_index: 2,
-                    pending: vec![
-                        op(0, 3, None, false),
-                        op(1, 2, None, false),
-                        op(2, 0, Some(5), true),
-                    ],
-                },
-                edges: vec![
-                    (t(0), Link::Terminal(1)),
-                    (t(1), Link::Interior(3)),
-                    (t(2), Link::Interior(4)),
-                ],
+                last: Some(t(0)),
+                last_enabled: true,
+                num_threads: 3,
+                step_index: 2,
+                ops: 2,
+                width: 3,
+                edges: Some(2),
             },
             Node::Forced {
                 op: op(1, 4, None, true),
@@ -1317,6 +1455,25 @@ mod tests {
                 op: op(2, 1, Some(6), false),
                 next: None,
             },
+        ];
+        let ops = vec![
+            op(0, 1, Some(3), true),
+            op(1, 2, None, false),
+            op(0, 3, None, false),
+            op(1, 2, None, false),
+            op(2, 0, Some(5), true),
+        ];
+        let edge = |thread: usize, link: Link, next: Option<u32>| Edge {
+            thread: t(thread),
+            link,
+            next,
+        };
+        let edges = vec![
+            edge(0, Link::Interior(1), Some(1)),
+            edge(1, Link::Terminal(0), None),
+            edge(0, Link::Terminal(1), Some(3)),
+            edge(1, Link::Interior(3), Some(4)),
+            edge(2, Link::Interior(4), None),
         ];
         let terminals = vec![
             TerminalDigest {
@@ -1356,6 +1513,8 @@ mod tests {
         cache.bytes =
             nodes.iter().map(Node::weight).sum::<u64>() + terminals.len() as u64 * TERMINAL_BYTES;
         cache.nodes = nodes;
+        cache.ops = ops;
+        cache.edges = edges;
         cache.terminals = terminals;
         cache
     }
@@ -1432,30 +1591,29 @@ mod tests {
     const PINNED_KEY: u64 = 0x5eed_c0de_0000_0001;
 
     const PINNED_TRIE_HEX: &str = concat!(
-        "534354430200000001000000dec0ed5e0000100000000000c003000000000000",
-        "0005000000000000000102000000000000000000000000000000010000000000",
-        "0000000002000000000000000000000000000000020000000000000000000000",
-        "0000000000000000010000000103000000000000000101000000000000000100",
-        "0000020000000000020000000000000000000000000000000001000000010000",
-        "0000000000010000000000000000000000000000000000020000000104000000",
-        "0000000000010002000000010300000000000000000000000000000001000000",
-        "0000000002000000000000000100000000000000000103000000000000000200",
-        "0000000000000300000000000000000000000000000000000000030000000000",
-        "0100000000000000010000000200000000000200000000000000020000000000",
-        "0000010500000000000000010300000000000000000000000000000001010000",
-        "0001000000000000000003000000020000000000000000040000000001000000",
-        "0000000001000000040000000001010102000000000200000000000000020000",
-        "0001000000010600000000000000000003000000000000000000020000000000",
-        "000002000000000000000100000000000000efcdab8967452301000000000100",
-        "0000010202000000000000000100000000000000020000000000000000030000",
-        "0000000000030000000000000002000000000000001032547698badcfe010000",
-        "00020000000109e8030000000000000103000000000000000300000000000000",
-        "030000000000000007000000000000000200000003000000",
-        "e020f31b252e5f21", // checksum
+        "534354430300000001000000dec0ed5e0000100000000000c003000000000000",
+        "0005000000000000000100000200000000000000000000000000000000000000",
+        "0200000001000000000000000000000000000000000002000000010400000000",
+        "0000000001000200000001010000000000000000010300000000000000020000",
+        "0000000000020000000300000001020000000001000000000000000100000004",
+        "0000000001010102000000000200000000000000020000000100000001060000",
+        "0000000000000005000000000000000000000000000000000000000100000001",
+        "0300000000000000010100000000000000010000000200000000000000000000",
+        "0000000000000003000000000001000000000000000100000002000000000002",
+        "0000000000000002000000000000000105000000000000000105000000000000",
+        "0000000000000000000001000000010100000001000000000000000100000000",
+        "0000000000000000000101000000010300000001000000000000000003000000",
+        "0104000000020000000000000000040000000003000000000000000000020000",
+        "000000000002000000000000000100000000000000efcdab8967452301000000",
+        "0001000000010202000000000000000100000000000000020000000000000000",
+        "0300000000000000030000000000000002000000000000001032547698badcfe",
+        "01000000020000000109e8030000000000000103000000000000000300000000",
+        "000000030000000000000007000000000000000200000003000000",
+        "21d1ba95af0de5be", // checksum
     );
 
     const PINNED_BUGS_HEX: &str = concat!(
-        "5343544202000000060000000000000070696e6e656402020000000000000000",
+        "5343544203000000060000000000000070696e6e656402020000000000000000",
         "000000030000000200000005000000e80300000000000032000000000000000a",
         "0000000000000000000000000000000001000000000000000100000004000000",
         "060000000000000078203d3d2079010000000000000000000000000000000102",
@@ -1469,7 +1627,7 @@ mod tests {
         "0000000007000000000000000000000000060000000900000000000000020000",
         "0000000000000000000000000001000000000000000802000000000000000200",
         "000008000000000000000000000009204e000000000000",
-        "5636da361a2a96cf", // checksum
+        "5636da36839b58f8", // checksum
     );
 
     #[test]

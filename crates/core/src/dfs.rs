@@ -223,6 +223,35 @@ impl BoundedDfs {
         self.used = 0;
     }
 
+    /// Replay the next recorded decision at a scheduling point whose enabled
+    /// threads' pending operations are `ops` (in thread order), or `None`
+    /// once the cursor is past the recorded prefix and the point needs a
+    /// full [`Scheduler::choose`]. This is the only replay path: `choose`
+    /// calls it first, and a schedule-trie walk calls it with a stored
+    /// node's operations, so a replayed node is never copied into a
+    /// [`SchedulingPoint`].
+    pub(crate) fn replay_step(&mut self, ops: &[PendingOp]) -> Option<ThreadId> {
+        let cp = self.stack.get_mut(self.pos)?;
+        let chosen = cp.chosen;
+        debug_assert!(
+            ops.iter().any(|p| p.thread == chosen),
+            "replay divergence: {chosen} not enabled at step {}",
+            self.pos
+        );
+        if self.sleep_sets {
+            // After backtracking, `chosen` is a freshly popped alternative
+            // whose pending op was unknown at pop time; refresh the summary
+            // from the live point (a no-op for the unchanged nodes above the
+            // backtrack point).
+            if let Some(op) = ops.iter().find(|p| p.thread == chosen) {
+                cp.chosen_op = Some(*op);
+            }
+        }
+        self.used += cp.cost;
+        self.pos += 1;
+        Some(chosen)
+    }
+
     /// Complete the current execution without an outcome: the schedule was
     /// served from the schedule cache, so there is no [`ExecutionOutcome`] to
     /// hand to [`Scheduler::end_execution`]. Equivalent to it in effect.
@@ -422,26 +451,7 @@ impl Scheduler for BoundedDfs {
 
     fn choose(&mut self, point: &SchedulingPoint) -> ThreadId {
         debug_assert_index_parallel(point);
-        if self.pos < self.stack.len() {
-            // Replay the recorded prefix.
-            let cp = &mut self.stack[self.pos];
-            let chosen = cp.chosen;
-            debug_assert!(
-                point.is_enabled(chosen),
-                "replay divergence: {chosen} not enabled at step {}",
-                point.step_index
-            );
-            if self.sleep_sets {
-                // After backtracking, `chosen` is a freshly popped
-                // alternative whose pending op was unknown at pop time;
-                // refresh the summary from the live point (a no-op for the
-                // unchanged nodes above the backtrack point).
-                if let Some(op) = point.pending.iter().find(|p| p.thread == chosen) {
-                    cp.chosen_op = Some(*op);
-                }
-            }
-            self.used += cp.cost;
-            self.pos += 1;
+        if let Some(chosen) = self.replay_step(&point.pending) {
             return chosen;
         }
 

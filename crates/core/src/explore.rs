@@ -376,13 +376,13 @@ impl<'a> Trie<'a> {
         match self {
             Trie::Private(lock) => {
                 if let Some(suffix) = suffix {
-                    cache::write(lock).insert(&path, suffix, digest(), true);
+                    cache::write(lock).insert(&path, &suffix, digest(), true);
                 }
                 visit.executed
             }
             Trie::Corpus(shared, view) => {
                 if let (false, Some(suffix)) = (view.full, suffix) {
-                    cache::write(shared.live()).insert(&path, suffix, digest(), false);
+                    cache::write(shared.live()).insert(&path, &suffix, digest(), false);
                 }
                 !shared.with_live(|arena| view.apply(arena, &path))
             }

@@ -80,6 +80,32 @@ fn delay_bounding_dominates_preemption_bounding_on_the_cs_suite_subset() {
 }
 
 #[test]
+fn every_counted_schedule_costs_at_least_as_many_delays_as_preemptions() {
+    // §2: a preemption skips the previous thread while it is still enabled,
+    // and skipping an enabled thread is a delay, so no schedule's delay cost
+    // is below its preemption cost. Checked on every counted digest of DFS
+    // and DB(2), on every registry program; DB(2)'s schedules must also
+    // cost at most 2 delays, which ties the digests' costs to the pricing
+    // the search bounds (`delays_for`).
+    for spec in all_benchmarks() {
+        for (search, bound) in [
+            (Search::Bounded(BoundKind::None, u32::MAX), u32::MAX),
+            (Search::Bounded(BoundKind::Delay, 2), 2),
+        ] {
+            let case = Case::new(spec.name, search);
+            for (i, d) in case.side("serial", limits(40)).digests.iter().enumerate() {
+                assert!(
+                    d.delays >= d.preemptions && d.delays <= bound,
+                    "{case}: digest #{i} costs {} delays and {} preemptions",
+                    d.delays,
+                    d.preemptions
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn race_detection_phase_feeds_systematic_exploration() {
     // stack_bad's bug is only schedulable when the racy accesses are visible
     // operations: with SyncOnly visibility the popper's unsynchronised loads
